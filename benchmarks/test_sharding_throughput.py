@@ -62,9 +62,8 @@ def _scaling_rows(network, states, single_cycles, single_seconds):
             _, cost = backend.forward_batch(states)
             seconds = time.perf_counter() - start
             # Wall-seconds efficiency rides along with the modelled
-            # one: this serial-host measurement is the workers=1
-            # baseline the wall-clock scaling benchmark's process pool
-            # is judged against (see test_wallclock_scaling.py).
+            # one: the host runs the K arrays one after another, so
+            # this shows what sharding costs the simulator itself.
             wall_speedup = single_seconds / seconds if seconds else 0.0
             out[f"{policy}-{shards}"] = {
                 "policy": policy,

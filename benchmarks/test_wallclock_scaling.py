@@ -1,16 +1,10 @@
-"""Measured wall-clock scaling of the process-parallel executor.
+"""Measured host-side costs of the cost-accounting hot paths.
 
 The sharding suite (``test_sharding_throughput.py``) pins the
-*modelled* K-array payoff in cycles; this suite pins the *measured*
-one in host seconds.  Three measurements:
+*modelled* K-array payoff in cycles; this suite pins two host-side
+properties of the accounting that every sharded forward and train step
+pays for:
 
-* **Worker scaling** — the same K=4 sample-sharded forward batch timed
-  at ``workers`` in {1, 2, 4}: the serial path versus the persistent
-  spawn pool with shared-memory transport.  Every configuration must
-  produce bitwise-identical Q values; the best parallel configuration
-  must clear a speedup floor that adapts to the host's core count
-  (``WALLCLOCK_SPEEDUP_FLOOR`` overrides; a single-core host only
-  checks that pool overhead is not catastrophic).
 * **Cost-oracle memoisation** — hit/miss counters of the closed-form
   cycle oracles over a steady-state forward/train loop, read back
   through the ``repro.obs`` metrics registry; the overall hit rate
@@ -19,66 +13,30 @@ one in host seconds.  Three measurements:
   add+peek loop at N and 10N records; the time ratio must stay
   near-linear (the O(K²) list-merge it replaced would blow up 100x).
 
-Artifacts: ``wallclock_scaling.txt`` and ``BENCH_wallclock.json``
-(records core count, floor and floor provenance so archived numbers
-from different hosts are comparable).
+Artifacts: ``wallclock_scaling.txt`` and ``BENCH_wallclock.json``.
 """
 
-import os
 import time
 
 import numpy as np
 
 from _artifacts import write_artifacts
-from repro.analysis import format_table
 from repro.backend import ShardedBackend, StepCost, StepCostAccumulator
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.obs import MetricsRegistry, observed
-from repro.parallel import clear_memo_caches, cpu_count, publish_memo_metrics
+from repro.parallel import clear_memo_caches, publish_memo_metrics
 from repro.systolic.training import network_training_step_cost
 
 SIDE = 16
 BATCH = 256
 SHARDS = 4
-WORKER_CONFIGS = (1, 2, 4)
-#: Timed forward passes per configuration (best of ``TIMING_REPEATS``).
-FORWARDS = 5
+#: Accumulator timings keep the best of ``TIMING_REPEATS``.
 TIMING_REPEATS = 3
 #: Acceptance floor on the steady-state oracle hit rate.
 MEMO_HIT_RATE_FLOOR = 0.9
 #: Accumulator time ratio bound for a 10x record-count increase
 #: (linear would be ~10x; the old quadratic merge was ~100x).
 ACCUMULATOR_RATIO_CEILING = 40.0
-
-
-def _speedup_floor() -> tuple[float, str]:
-    """The measured-speedup floor and where it came from.
-
-    CI runners have >= 4 cores and must demonstrate the real payoff;
-    a laptop gets a softer bound; a single-core host can only check
-    that the pool's overhead is not catastrophic (spawn transport on
-    one core *costs* time — there is nothing to parallelise onto).
-    """
-    env = os.environ.get("WALLCLOCK_SPEEDUP_FLOOR")
-    if env is not None:
-        return float(env), "env:WALLCLOCK_SPEEDUP_FLOOR"
-    cores = cpu_count()
-    if cores >= 4:
-        return 2.0, f"cores={cores}"
-    if cores >= 2:
-        return 1.2, f"cores={cores}"
-    return 0.35, f"cores={cores} (overhead bound only)"
-
-
-def _timed_forwards(backend, states) -> float:
-    """Best-of-N seconds for ``FORWARDS`` back-to-back forward passes."""
-    best = float("inf")
-    for _ in range(TIMING_REPEATS):
-        start = time.perf_counter()
-        for _ in range(FORWARDS):
-            backend.forward_batch(states)
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _accumulator_seconds(n: int) -> float:
@@ -103,37 +61,15 @@ def test_wallclock_scaling(benchmark, results_dir):
     network = build_network(scaled_drone_net_spec(input_side=SIDE), seed=0)
     rng = np.random.default_rng(0)
     states = rng.uniform(0.0, 1.0, size=(BATCH, 1, SIDE, SIDE))
-    floor, floor_source = _speedup_floor()
 
     def run():
-        # --- worker scaling: measured seconds at each pool width ----
-        timings = {}
-        outputs = {}
-        for workers in WORKER_CONFIGS:
-            backend = ShardedBackend(
-                network, shards=SHARDS, shard="sample", workers=workers
-            )
-            # Warm-up spawns the pool and ships the weight snapshot;
-            # the timed region sees only steady-state forwards.
-            q, _ = backend.forward_batch(states)
-            outputs[workers] = q
-            timings[workers] = _timed_forwards(backend, states)
-        scaling = {
-            str(w): {
-                "workers": w,
-                "seconds": timings[w],
-                "speedup": timings[1] / timings[w],
-            }
-            for w in WORKER_CONFIGS
-        }
-
         # --- cost-oracle memoisation at steady state ----------------
         clear_memo_caches()
         registry = MetricsRegistry()
-        serial = ShardedBackend(network, shards=SHARDS, shard="sample")
+        backend = ShardedBackend(network, shards=SHARDS, shard="sample")
         with observed(registry=registry):
             for _ in range(20):
-                serial.forward_batch(states)
+                backend.forward_batch(states)
                 network_training_step_cost(network, (1, SIDE, SIDE), BATCH)
             publish_memo_metrics()
         gauges = registry.snapshot()["gauges"]
@@ -154,33 +90,15 @@ def test_wallclock_scaling(benchmark, results_dir):
             "seconds_10n": large,
             "ratio": large / small if small else 0.0,
         }
-        return {
-            "scaling": scaling,
-            "outputs": outputs,
-            "memo": memo,
-            "accumulator": accumulator,
-        }
+        return {"memo": memo, "accumulator": accumulator}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # workers=1 and every pool width serve the same bits.
-    outputs = results.pop("outputs")
-    for workers in WORKER_CONFIGS[1:]:
-        assert np.array_equal(outputs[1], outputs[workers]), workers
-
-    rows = [
-        [r["workers"], round(r["seconds"] * 1e3, 2), round(r["speedup"], 2)]
-        for r in results["scaling"].values()
-    ]
     memo = results["memo"]
     acc = results["accumulator"]
     body = (
-        f"K={SHARDS} sample-sharded forward, batch={BATCH}, "
-        f"{FORWARDS} passes per timing (best of {TIMING_REPEATS})\n"
-        f"host cores: {cpu_count()}  speedup floor: {floor} "
-        f"({floor_source})\n\n"
-        + format_table(["Workers", "Seconds (ms)", "Speedup"], rows)
-        + f"\n\ncost-oracle memo hit rate (steady state): "
+        f"K={SHARDS} sample-sharded forward, batch={BATCH}\n"
+        f"cost-oracle memo hit rate (steady state): "
         f"{memo['hit_rate_overall']:.3f} (floor {MEMO_HIT_RATE_FLOOR})\n"
         f"accumulator add+peek: {acc['n']} recs {acc['seconds_n'] * 1e3:.2f} "
         f"ms, {10 * acc['n']} recs {acc['seconds_10n'] * 1e3:.2f} ms "
@@ -192,21 +110,8 @@ def test_wallclock_scaling(benchmark, results_dir):
         "wallclock_scaling.txt",
         body,
         "BENCH_wallclock.json",
-        {
-            "batch": BATCH,
-            "shards": SHARDS,
-            "cpu_count": cpu_count(),
-            "speedup_floor": floor,
-            "floor_source": floor_source,
-            **results,
-        },
+        {"batch": BATCH, "shards": SHARDS, **results},
     )
 
-    best = max(
-        r["speedup"]
-        for r in results["scaling"].values()
-        if r["workers"] > 1
-    )
-    assert best >= floor, (best, floor, floor_source)
     assert memo["hit_rate_overall"] >= MEMO_HIT_RATE_FLOOR
     assert acc["ratio"] <= ACCUMULATOR_RATIO_CEILING, acc

@@ -67,7 +67,6 @@ from repro.obs.probes import PROBE
 from repro.fixedpoint.qformat import QFormat, Q2_13, Q8_8
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.network import Network
-from repro.parallel.pool import resolve_workers
 from repro.systolic.array import ArrayConfig
 from repro.systolic.functional import FunctionalSystolicArray
 from repro.systolic.noc import NocModel
@@ -304,16 +303,6 @@ class ShardedBackend(ExecutionBackend):
         only).  ``None`` picks ``max(1, batch // (8 * K))`` — about 8
         chunks per array, enough overlap to amortise fill/drain
         without drowning in per-chunk filter reloads.
-    workers:
-        Host process-pool size for sample-policy child forwards
-        (``"auto"`` = one per CPU, capped at K).  ``1`` (default) is
-        the serial path, byte-for-byte today's behaviour.  Parallel
-        dispatch sends the *same* chunks to the same pure child code
-        in pool workers and replays the accounting in shard order, so
-        results and cost records are bitwise identical at any worker
-        count.  The layer policy always runs serially — its layers
-        chain through a gather/broadcast data dependency, so there is
-        no host-side parallelism to harvest.
     """
 
     def __init__(
@@ -326,7 +315,6 @@ class ShardedBackend(ExecutionBackend):
         quantized: bool = True,
         weight_format: QFormat = Q2_13,
         activation_format: QFormat = Q8_8,
-        workers: int | str = 1,
         noc: str = "flat",
         pipeline_chunk: int | None = None,
     ):
@@ -363,12 +351,6 @@ class ShardedBackend(ExecutionBackend):
         #: Lazily built float fallback for all-arrays-lost degradation.
         self._fallback = None
         self._chaos_forward = 0
-        self.workers = resolve_workers(workers, tasks=shards)
-        #: Bumped whenever the serving weights change (sync, chaos bit
-        #: flips, buffer restore); the pool executor ships weight deltas
-        #: to workers only when its shipped version falls behind.
-        self._weights_version = 0
-        self._executor = None
         #: Pipeline stage layouts, keyed on (alive arrays, state shape,
         #: chunk rows, chunk count); cleared on crash failover.
         self._pipeline_plans: dict[tuple, PipelinePlan] = {}
@@ -432,7 +414,6 @@ class ShardedBackend(ExecutionBackend):
         array's slice out of the live network first (the sliced
         sub-networks own their parameters), then re-quantises it.
         """
-        self._weights_version += 1
         if self.shard != "layer":
             self.children[0].sync()
             return
@@ -462,7 +443,6 @@ class ShardedBackend(ExecutionBackend):
         return merged
 
     def corrupt_weight_bit(self, name: str, index: int, bit: int) -> None:
-        self._weights_version += 1
         if self.shard != "layer":
             self.children[0].corrupt_weight_bit(name, index, bit)
             return
@@ -472,7 +452,6 @@ class ShardedBackend(ExecutionBackend):
         )
 
     def _refresh_weight_values(self) -> None:
-        self._weights_version += 1
         if self.shard != "layer":
             self.children[0]._refresh_weight_values()
             return
@@ -928,15 +907,6 @@ class ShardedBackend(ExecutionBackend):
     def _requantize(self, x: np.ndarray) -> np.ndarray:
         return self.activation_format.quantize(x) if self.quantized else x
 
-    def _shard_executor(self):
-        """The pool executor for sample-policy forwards, built on first
-        parallel dispatch (workers spawn only when actually used)."""
-        if self._executor is None:
-            from repro.parallel.dispatch import ShardExecutor
-
-            self._executor = ShardExecutor(self, self.workers)
-        return self._executor
-
     def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, ShardCost]:
         x = np.asarray(states, dtype=np.float64)
         if x.ndim != 4:
@@ -962,34 +932,6 @@ class ShardedBackend(ExecutionBackend):
         if not active:
             return self._forward_degraded(x)
         chunks = np.array_split(x, len(active))
-        jobs = [
-            (k, chunk)
-            for k, chunk in zip(active, chunks)
-            if chunk.shape[0] > 0  # batch narrower than K: array k idles
-        ]
-        if self.workers > 1 and len(jobs) > 1:
-            # Parallel path: pure child forwards run in pool workers
-            # (PROBE/FAULTS permanently off there); the workers time
-            # themselves and the spans/chaos accounting replay below in
-            # shard order, so both the numerics and every ledger match
-            # the serial loop bitwise.
-            results = self._shard_executor().forward_chunks(
-                [chunk for _k, chunk in jobs]
-            )
-            forwards = [
-                (k, chunk, q_k, cost_k, wall_ns, worker)
-                for (k, chunk), (q_k, cost_k, wall_ns, worker)
-                in zip(jobs, results)
-            ]
-        else:
-            forwards = []
-            for k, chunk in jobs:
-                start = time.perf_counter_ns()
-                q_k, cost_k = self.children[k].forward_batch(chunk)
-                forwards.append(
-                    (k, chunk, q_k, cost_k,
-                     time.perf_counter_ns() - start, None)
-                )
         outputs = []
         shard_cycles = [0] * self.shards
         layer_cycles: dict[str, int] = {}
@@ -997,10 +939,14 @@ class ShardedBackend(ExecutionBackend):
         merge = 0
         merge_hops = 0
         root = active[0]
-        for k, chunk, q_k, cost_k, wall_ns, worker in forwards:
+        for k, chunk in zip(active, chunks):
+            if chunk.shape[0] == 0:
+                continue  # batch narrower than K: array k idles
+            start = time.perf_counter_ns()
+            q_k, cost_k = self.children[k].forward_batch(chunk)
             PROBE.record_span(
-                "shard.forward", wall_ns, cycles=cost_k.total_cycles,
-                worker=worker, shard=k, states=chunk.shape[0],
+                "shard.forward", time.perf_counter_ns() - start,
+                cycles=cost_k.total_cycles, shard=k, states=chunk.shape[0],
             )
             outputs.append(q_k)
             cycles_k = cost_k.total_cycles

@@ -105,14 +105,6 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _workers_spec(value: str) -> str:
-    """argparse type for --workers: 'auto' or a positive integer."""
-    if value == "auto":
-        return value
-    _positive_int(value)
-    return value
-
-
 def _cmd_fig1(_args) -> None:
     table = fps_requirement_table()
     rows = [
@@ -321,7 +313,6 @@ def _cmd_fleet(args) -> None:
         seeds=[args.seed + i for i in range(args.num_envs)],
         image_side=args.image_side,
         max_episode_steps=400,
-        workers=args.workers,
     )
     network = build_network(
         scaled_drone_net_spec(input_side=args.image_side), seed=args.seed
@@ -335,7 +326,6 @@ def _cmd_fleet(args) -> None:
         {
             "shards": args.shards,
             "shard": args.shard_policy,
-            "workers": args.workers,
             "noc": args.noc,
         }
         if args.backend == "sharded"
@@ -940,13 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
              "default — reproduces all pinned sharding numbers), a "
              "bidirectional ring, or a 2D mesh, both over 128-bit "
              "links at the quantised word width",
-    )
-    p_fleet.add_argument(
-        "--workers", default="1", type=_workers_spec, metavar="N|auto",
-        help="process-pool width for sharded child forwards and env "
-             "group raycasts ('auto' = one per CPU core); workers=1 "
-             "is the serial path and stays bitwise-identical to the "
-             "parallel one",
     )
     p_fleet.add_argument(
         "--sync-every", type=_positive_int, default=1,

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.obs.probes import PROBE
-from repro.parallel.procstate import in_worker
 
 __all__ = [
     "FaultInjectionError",
@@ -293,20 +292,11 @@ class FaultSeam:
     def activate(self, plan: FaultPlan | FaultInjector) -> FaultInjector:
         """Switch chaos on; returns the live injector.
 
-        The fault seam is **process-local**: the coordinator owns the
-        one live injector (counters, RNG draws, event ledger) and
-        ``repro.parallel`` pool workers run pure forwards with chaos
-        permanently off — every fault decision is made, and every event
-        logged, in the coordinator, which is what keeps a chaos run's
-        event log identical at any worker count.
+        The fault seam is **process-global**: one live injector owns
+        the counters, RNG draws and event ledger, so every fault
+        decision is made and logged in one place and a seeded chaos
+        run replays its event log exactly.
         """
-        if in_worker():
-            raise RuntimeError(
-                "FAULTS is process-local: pool workers must not activate "
-                "fault injection — all chaos decisions happen in the "
-                "coordinator so ledgers replay identically at any "
-                "worker count"
-            )
         if isinstance(plan, FaultInjector):
             self.injector = plan
         else:

@@ -39,7 +39,6 @@ from repro.env.geometry import (
 )
 from repro.faults.injector import FAULTS, FaultInjectionError
 from repro.obs.probes import PROBE
-from repro.parallel.pool import resolve_workers
 
 __all__ = [
     "FleetRenderer",
@@ -125,10 +124,8 @@ def group_horizontal(
 ) -> np.ndarray:
     """Ray-intersection distances for one world group's members.
 
-    The renderer's heaviest kernel, extracted as a pure function of the
-    group's static padded geometry plus the member poses so the serial
-    loop and the process-pool path run the *same* code on the *same*
-    inputs — which is what makes parallel rendering bitwise identical.
+    The renderer's heaviest kernel: a pure function of the group's
+    static padded geometry plus the member poses.
     ``origins``/``dirs`` are the (M, 2)/(M, W, 2) rows for the group's
     members, ``rows`` their rows within the group's padded arrays.
     """
@@ -167,13 +164,6 @@ class FleetRenderer:
     noise *draws* stay in a small loop so every env consumes its RNG
     stream exactly as the sequential renderer would; all the remaining
     arithmetic is batched and bitwise-identical.
-
-    With a :class:`~repro.parallel.dispatch.GroupExecutor` attached
-    (``VecNavigationEnv(workers=...)``), multi-group intersection
-    kernels run on the process pool — the geometry ships to workers
-    once, only poses travel per call, and the per-env noise draws stay
-    in the coordinator in index order, so parallel rendering consumes
-    every RNG stream exactly as the serial path does.
     """
 
     def __init__(
@@ -203,11 +193,6 @@ class FleetRenderer:
             [camera.plane_depths(env.world.is_indoor) for env in envs]
         )  # (N, H, 1)
         self._col_angles = camera.column_angles()
-        self._executor = None
-
-    def attach_executor(self, executor) -> None:
-        """Route multi-group intersection kernels through a pool executor."""
-        self._executor = executor
 
     def render(self, indices: list[int]) -> list[np.ndarray]:
         """Render the current pose of each env in ``indices``.
@@ -238,29 +223,13 @@ class FleetRenderer:
         for k, i in enumerate(indices):
             by_group.setdefault(int(self._group_id[i]), []).append(k)
         horizontal = np.empty((len(indices), width))
-        items = [
-            (
-                gid,
-                ks,
-                np.array([self._group_row[indices[k]] for k in ks], dtype=np.intp),
+        for gid, ks in by_group.items():
+            rows = np.array(
+                [self._group_row[indices[k]] for k in ks], dtype=np.intp
             )
-            for gid, ks in by_group.items()
-        ]
-        if self._executor is not None and len(items) > 1:
-            # Pool path: one task per group, same kernel on the same
-            # inputs — only the process it runs in changes.
-            tasks = [
-                (gid, origins[ks], dirs[ks], rows) for gid, ks, rows in items
-            ]
-            for (gid, ks, rows), result in zip(
-                items, self._executor.render(tasks)
-            ):
-                horizontal[ks] = result
-        else:
-            for gid, ks, rows in items:
-                horizontal[ks] = group_horizontal(
-                    self._groups[gid], origins[ks], dirs[ks], rows
-                )
+            horizontal[ks] = group_horizontal(
+                self._groups[gid], origins[ks], dirs[ks], rows
+            )
         max_range = self._max_range[idx]
         depth = self.camera.project(
             horizontal, self._planes[idx], max_range[:, None, None]
@@ -352,13 +321,6 @@ class VecNavigationEnv:
     auto_reset:
         Respawn crashed/truncated envs inside :meth:`step` so the
         returned batch is always ready for the next action.
-    workers:
-        Process-pool size for the renderer's per-group intersection
-        kernels (``"auto"`` = one per CPU, capped at the number of
-        world groups).  ``1`` (default) keeps rendering serial; any
-        setting is bitwise-identical — the pool runs the same kernel
-        on the same inputs, and every RNG draw stays in the
-        coordinator in env-index order.
     """
 
     def __init__(
@@ -366,7 +328,6 @@ class VecNavigationEnv:
         envs: list[NavigationEnv],
         max_episode_steps: int | None = None,
         auto_reset: bool = True,
-        workers: int | str = 1,
     ):
         if not envs:
             raise ValueError("need at least one environment")
@@ -380,11 +341,6 @@ class VecNavigationEnv:
         groups, group_id, group_row = _build_groups(envs)
         self.renderer = FleetRenderer(envs, groups, group_id, group_row)
         self.collider = FleetCollider(envs, groups)
-        self.workers = resolve_workers(workers, tasks=len(groups))
-        if self.workers > 1 and len(groups) > 1:
-            from repro.parallel.dispatch import GroupExecutor
-
-            self.renderer.attach_executor(GroupExecutor(groups, self.workers))
         self.episode_steps = np.zeros(self.num_envs, dtype=np.int64)
         self.episode_counts = np.zeros(self.num_envs, dtype=np.int64)
         self.total_steps = 0
@@ -414,7 +370,6 @@ class VecNavigationEnv:
         noise: bool = True,
         max_episode_steps: int | None = None,
         auto_reset: bool = True,
-        workers: int | str = 1,
     ) -> "VecNavigationEnv":
         """Build a fleet from environment names (cycled) and seeds."""
         if not names:
@@ -431,8 +386,7 @@ class VecNavigationEnv:
             )
             envs.append(NavigationEnv(world, camera=camera, seed=seed + 7))
         return cls(
-            envs, max_episode_steps=max_episode_steps, auto_reset=auto_reset,
-            workers=workers,
+            envs, max_episode_steps=max_episode_steps, auto_reset=auto_reset
         )
 
     @property

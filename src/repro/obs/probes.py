@@ -33,7 +33,6 @@ from contextlib import contextmanager
 
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer
-from repro.parallel.procstate import in_worker
 
 __all__ = ["Probe", "PROBE", "observed"]
 
@@ -57,18 +56,10 @@ class Probe:
         ``tracer``/``registry`` default to a fresh :class:`Tracer` and
         the process-global :data:`~repro.obs.metrics.REGISTRY`.
 
-        The probe seam is **process-local**: only the coordinator owns
-        a live tracer/registry, and ``repro.parallel`` pool workers run
-        with it permanently off (their spans would accumulate in a
-        process nobody drains).  Executors re-emit worker-measured
-        intervals through :meth:`record_span` instead.
+        The probe is **process-global**: the simulator runs in one
+        process, so one live tracer and registry see every span and
+        metric.
         """
-        if in_worker():
-            raise RuntimeError(
-                "PROBE is process-local: pool workers must not activate "
-                "instrumentation — record spans in the coordinator via "
-                "Probe.record_span instead"
-            )
         self.tracer = tracer if tracer is not None else Tracer(enabled=True)
         self.tracer.enabled = True
         if registry is not None:
@@ -95,29 +86,19 @@ class Probe:
             self.tracer.add_cycles(cycles)
 
     def record_span(
-        self,
-        name: str,
-        duration_ns: int,
-        cycles: int = 0,
-        worker: int | None = None,
-        **args,
+        self, name: str, duration_ns: int, cycles: int = 0, **args
     ) -> None:
-        """Re-emit a span measured elsewhere (a pool worker, typically).
+        """Emit a span for an interval the caller timed itself.
 
-        ``worker`` tags the span and routes it to a synthetic negative
-        thread lane so worker intervals overlap visibly in the Chrome
-        export while :meth:`~repro.obs.trace.Tracer.summary` still
-        aggregates them with the serial path's live spans by name.
+        For spans whose fields are known only after the work (a shard
+        forward's cycles, a pipeline micro-batch's serving array): the
+        span is back-dated to end now, and
+        :meth:`~repro.obs.trace.Tracer.summary` aggregates it with live
+        spans of the same name.
         """
         if not self.enabled:
             return
-        thread_id = None
-        if worker is not None:
-            thread_id = -(int(worker) + 1)
-            args.setdefault("worker", int(worker))
-        self.tracer.record(
-            name, duration_ns, cycles=cycles, thread_id=thread_id, **args
-        )
+        self.tracer.record(name, duration_ns, cycles=cycles, **args)
 
     # ------------------------------------------------------------------
     def count(

@@ -184,18 +184,13 @@ class Tracer:
         duration_ns: int,
         cycles: int = 0,
         category: str = "",
-        thread_id: int | None = None,
         **args,
     ) -> None:
         """Append an already-measured span ending now.
 
-        For work timed elsewhere — a pool worker measures its own wall
-        time and the coordinator re-emits the interval here so
-        :meth:`summary` aggregates it under the same name as the serial
-        path's live spans.  ``thread_id`` lets callers give off-process
-        work a synthetic lane (executors use ``-(worker+1)``) so Chrome
-        exports show worker overlap instead of stacking everything on
-        the coordinator thread.
+        For work the caller timed itself: the interval is appended
+        here so :meth:`summary` aggregates it under the same name as
+        live spans.
         """
         if not self.enabled:
             return
@@ -204,9 +199,7 @@ class Tracer:
         span.start_ns = now - max(int(duration_ns), 0)
         span.end_ns = now
         span.cycles = int(cycles)
-        span.thread_id = (
-            thread_id if thread_id is not None else threading.get_ident()
-        )
+        span.thread_id = threading.get_ident()
         parent = self.current()
         if parent is not None:
             span.parent_name = parent.name

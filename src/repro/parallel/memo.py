@@ -9,17 +9,11 @@ round asks for the cost of the *same* layer stack at the *same* batch
 size thousands of times; after the first answer, every other call
 should pay a dict lookup.
 
-Caches here are process-local (pool workers warm their own copies) and
-always count hits/misses so the wall-clock benchmark can pin the hit
-rate.  :func:`publish_memo_metrics` exports the counters through the
-``repro.obs`` metrics registry as gauges — gauges rather than counters
-because the memo tallies are themselves cumulative and re-published
-every round.
-
-This module must not import ``repro.obs`` at module level:
-``repro.obs.probes`` imports ``repro.parallel.procstate``, which loads
-this package — the probe import happens lazily inside
-:func:`publish_memo_metrics`.
+Caches always count hits/misses so the wall-clock benchmark can pin
+the hit rate.  :func:`publish_memo_metrics` exports the counters
+through the ``repro.obs`` metrics registry as gauges — gauges rather
+than counters because the memo tallies are themselves cumulative and
+re-published every round.
 """
 
 from __future__ import annotations
@@ -27,6 +21,8 @@ from __future__ import annotations
 import functools
 import threading
 from contextlib import contextmanager
+
+from repro.obs.probes import PROBE
 
 __all__ = [
     "MemoCache",
@@ -177,8 +173,7 @@ def publish_memo_metrics(probe=None) -> dict[str, dict]:
     No-op (stats still returned) while the probe is inactive.
     """
     if probe is None:
-        from repro.obs.probes import PROBE as probe  # lazy: avoids cycle
-
+        probe = PROBE
     stats = memo_stats()
     if getattr(probe, "enabled", False):
         hits = misses = 0

@@ -1,122 +1,34 @@
-"""Process-parallel execution and memoised cost oracles (repro.parallel).
+"""Memoised cost oracles and the O(K) step-cost accumulator.
 
-Pins the contract the parallel layer lives or dies by: ``workers=1``
-and ``workers>1`` are *bitwise-identical* — same Q values, same cost
-ledgers, same fleet fingerprints, same fault event logs — because the
-pool only moves pure ``forward_batch`` / raycast kernels into workers
-while every RNG draw, chaos decision and accounting fold stays in the
-coordinator.  Also covers the supporting pieces: worker planning,
-spawn-safety guards on the process-local ``PROBE``/``FAULTS`` seams,
-cross-worker span aggregation, the O(K) :class:`StepCostAccumulator`,
-and the memoisation layer's hit/miss counters.
+Covers the memoisation layer's hit/miss counters, its recompute bypass
+and metrics export (:mod:`repro.parallel.memo`), plus
+:class:`StepCostAccumulator` against :func:`merge_step_costs`.
 """
 
-import numpy as np
 import pytest
 
 from repro.backend import (
     ShardCost,
-    ShardedBackend,
     StepCost,
     StepCostAccumulator,
     merge_step_costs,
 )
-from repro.faults import FAULTS, chaos, parse_fault_spec
-from repro.fleet import FleetScheduler, VecNavigationEnv
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.obs import MetricsRegistry, observed
 from repro.parallel import (
     cache,
     clear_memo_caches,
-    get_pool,
     memo_disabled,
     memo_stats,
     memoised,
     publish_memo_metrics,
-    resolve_workers,
-    WorkerError,
 )
-from repro.parallel.dispatch import (
-    _w_activate_faults,
-    _w_activate_probe,
-    _w_in_worker,
-)
-from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
 
 SIDE = 16
 
 
 def make_net(seed: int = 0):
     return build_network(scaled_drone_net_spec(input_side=SIDE), seed=seed)
-
-
-def make_agent(backend, seed: int = 0, **kwargs) -> QLearningAgent:
-    return QLearningAgent(
-        backend.network,
-        config=config_by_name("L4"),
-        epsilon=EpsilonSchedule(1.0, 0.1, 200),
-        seed=seed,
-        batch_size=4,
-        backend=backend,
-        **kwargs,
-    )
-
-
-def make_fleet(num_envs: int = 4, workers=1) -> VecNavigationEnv:
-    return VecNavigationEnv.from_names(
-        ["indoor-apartment", "outdoor-forest"],
-        seeds=list(range(num_envs)),
-        image_side=SIDE,
-        max_episode_steps=100,
-        workers=workers,
-    )
-
-
-@pytest.fixture(autouse=True)
-def _seam_off_after():
-    yield
-    FAULTS.deactivate()
-
-
-# RoundStats fields that must replay bitwise at any worker count —
-# everything except the host wall-clock measurements.
-_ROUND_FIELDS = (
-    "round_index", "env_steps", "episodes", "train_updates", "mean_loss",
-    "eval_sfd_by_class", "backend", "inference_states", "inference_macs",
-    "inference_cycles", "shards", "critical_path_cycles",
-    "critical_shard_index", "sync_staleness", "training_cycles",
-    "training_macs", "training_critical_path_cycles", "faults_injected",
-    "faults_detected", "faults_recovered", "fault_recovery_cycles",
-    "degraded_states", "active_shards",
-)
-
-
-def fleet_fingerprint(report):
-    """Every deterministic field of a FleetReport (wall times excluded)."""
-    return {
-        "rounds": [
-            {f: getattr(r, f) for f in _ROUND_FIELDS} for r in report.rounds
-        ],
-        "sfd_by_class": report.sfd_by_class,
-        "crash_counts": report.crash_counts,
-        "fault_events": report.fault_events,
-    }
-
-
-class TestResolveWorkers:
-    def test_explicit_counts(self):
-        assert resolve_workers(1) == 1
-        assert resolve_workers("3") == 3
-        assert resolve_workers(8, tasks=4) == 4
-
-    def test_auto_is_at_least_one(self):
-        assert resolve_workers("auto") >= 1
-
-    def test_rejects_bad_specs(self):
-        with pytest.raises(ValueError):
-            resolve_workers(0)
-        with pytest.raises(ValueError):
-            resolve_workers("many")
 
 
 class TestMemoisation:
@@ -239,109 +151,3 @@ class TestStepCostAccumulator:
         assert isinstance(merged, ShardCost)
         assert len(acc) == 0
         assert acc.drain() == merge_step_costs([], backend="sharded")
-
-
-class TestSpawnSafety:
-    def test_worker_marks_itself(self):
-        assert get_pool(1).run(_w_in_worker) is True
-
-    def test_probe_activation_fails_loudly_in_worker(self):
-        with pytest.raises(WorkerError, match="process-local"):
-            get_pool(1).run(_w_activate_probe)
-
-    def test_faults_activation_fails_loudly_in_worker(self):
-        with pytest.raises(WorkerError, match="process-local"):
-            get_pool(1).run(_w_activate_faults)
-
-    def test_worker_error_does_not_kill_pool(self):
-        pool = get_pool(1)
-        with pytest.raises(WorkerError):
-            pool.run(_w_activate_probe)
-        assert pool.run(_w_in_worker) is True
-
-
-class TestParallelForwardIdentity:
-    def test_sharded_forward_bitwise_identical(self):
-        rng = np.random.default_rng(0)
-        batch = rng.standard_normal((32, 1, SIDE, SIDE))
-        serial = ShardedBackend(make_net(), shards=4, workers=1)
-        parallel = ShardedBackend(make_net(), shards=4, workers=2)
-        q_s, cost_s = serial.forward_batch(batch)
-        q_p, cost_p = parallel.forward_batch(batch)
-        assert np.array_equal(q_s, q_p)
-        assert cost_s == cost_p
-
-    def test_identity_survives_weight_sync(self):
-        rng = np.random.default_rng(1)
-        batch = rng.standard_normal((16, 1, SIDE, SIDE))
-        serial = ShardedBackend(make_net(), shards=4, workers=1)
-        parallel = ShardedBackend(make_net(), shards=4, workers=2)
-        for backend in (serial, parallel):
-            backend.forward_batch(batch)  # ship the pre-update snapshot
-            backend.network.parameters()[0].value += 0.01
-            backend.sync()
-        q_s, _ = serial.forward_batch(batch)
-        q_p, _ = parallel.forward_batch(batch)
-        assert np.array_equal(q_s, q_p)
-
-    def test_vec_env_observations_bitwise_identical(self):
-        serial = make_fleet(num_envs=4, workers=1)
-        parallel = make_fleet(num_envs=4, workers=2)
-        obs_s = [serial.reset()]
-        obs_p = [parallel.reset()]
-        for _ in range(5):
-            actions = np.zeros(4, dtype=int)
-            obs_s.append(serial.step(actions)[0])
-            obs_p.append(parallel.step(actions)[0])
-        assert np.array_equal(np.stack(obs_s), np.stack(obs_p))
-
-
-class TestParallelFleetIdentity:
-    def _run(self, workers, plan=None):
-        agent = make_agent(
-            ShardedBackend(make_net(), shards=4, workers=workers),
-            sync_every=4,
-        )
-        scheduler = FleetScheduler(
-            agent, make_fleet(4, workers=workers), train_every=2, eval_steps=5
-        )
-        if plan is None:
-            return scheduler.run(rounds=2, steps_per_round=10)
-        with chaos(plan):
-            return scheduler.run(rounds=2, steps_per_round=10)
-
-    def test_fleet_fingerprint_identical(self):
-        assert fleet_fingerprint(self._run(1)) == fleet_fingerprint(
-            self._run(2)
-        )
-
-    def test_fleet_fingerprint_identical_under_chaos(self):
-        spec = "seed=7,crash=1@15,transient=0.1,straggler=0.1,sensor=0.02"
-        serial = self._run(1, parse_fault_spec(spec))
-        parallel = self._run(2, parse_fault_spec(spec))
-        assert serial.fault_events == parallel.fault_events
-        assert fleet_fingerprint(serial) == fleet_fingerprint(parallel)
-
-
-class TestSpanAggregation:
-    def _spans(self, workers):
-        rng = np.random.default_rng(2)
-        batch = rng.standard_normal((32, 1, SIDE, SIDE))
-        backend = ShardedBackend(make_net(), shards=4, workers=workers)
-        backend.forward_batch(batch)  # ship weights before tracing
-        with observed(registry=MetricsRegistry()) as (tracer, _):
-            backend.forward_batch(batch)
-        return [s for s in tracer.spans if s.name == "shard.forward"]
-
-    def test_worker_spans_aggregate_in_coordinator(self):
-        serial = self._spans(1)
-        parallel = self._spans(2)
-        assert len(serial) == len(parallel) == 4
-        assert [s.args["shard"] for s in serial] == [
-            s.args["shard"] for s in parallel
-        ]
-        assert [s.cycles for s in serial] == [s.cycles for s in parallel]
-        # Parallel spans carry the worker lane; serial ones do not.
-        assert all(s.args.get("worker") is not None for s in parallel)
-        assert all(s.args.get("worker") is None for s in serial)
-        assert all(s.thread_id < 0 for s in parallel)

@@ -35,6 +35,7 @@ from repro.fleet import FleetScheduler, VecNavigationEnv
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
 from repro.nn.network import Network
+from repro.obs import MetricsRegistry, observed
 from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
 
 SIDE = 16
@@ -109,12 +110,29 @@ class TestBitwiseEquivalence:
         rng = np.random.default_rng(batch * 17 + shards)
         states = rng.uniform(0, 1, size=(batch, 1, SIDE, SIDE))
         ref_q, _ = SystolicBackend(net).forward_batch(states)
-        q, cost = ShardedBackend(net, shards=shards, shard=policy).forward_batch(
-            states
-        )
+        backend = ShardedBackend(net, shards=shards, shard=policy)
+        with observed(registry=MetricsRegistry()) as (tracer, _):
+            q, cost = backend.forward_batch(states)
         assert np.array_equal(q, ref_q)
         assert cost.shards == shards
         assert len(cost.shard_cycles) == shards
+        if policy == "sample":
+            # One back-dated span per non-empty chunk, in shard order,
+            # each carrying that chunk's own forward cycles; a batch
+            # narrower than K leaves the idle arrays without a span.
+            chunks = [
+                c for c in np.array_split(states, shards) if c.shape[0] > 0
+            ]
+            spans = [s for s in tracer.spans if s.name == "shard.forward"]
+            assert len(spans) == len(chunks) == min(batch, shards)
+            assert [s.args["shard"] for s in spans] == list(range(len(chunks)))
+            assert [s.args["states"] for s in spans] == [
+                c.shape[0] for c in chunks
+            ]
+            assert [s.cycles for s in spans] == [
+                SystolicBackend(net).forward_batch(c)[1].total_cycles
+                for c in chunks
+            ]
 
     def test_uneven_batch_across_arrays(self, rng):
         """7 states over 4 arrays: chunk sizes 2/2/2/1, still bitwise."""
