@@ -10,6 +10,12 @@ Two measurements on the fleet-sized observation batch:
   and the pipeline policy must hold >= 0.75 scaling efficiency at
   K=8 — the regime where layer sharding's per-layer all-gather
   collapses to ~0.59.
+* **Host cost of sharding** — ``wall_ratio``, the sharded forward's
+  host wall time over one single-array forward on the same batch: the
+  median of paired ratios over warmed, interleaved repeats.  The
+  sample and pipeline policies run one datapath forward and price
+  their schedule, so they must stay within 1.5x of one array at every
+  K; the layer policy still executes per slice and is recorded only.
 * **Pipelined fleet** — a short sharded fleet run with an async weight
   bus (``sync_every=4``): measured pipeline overlap fraction, mean
   served snapshot staleness, and the serving agreement sampled
@@ -21,6 +27,7 @@ Artifacts: ``sharding_throughput.txt`` (human-readable tables) and
 trajectory tracking.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -41,6 +48,10 @@ K4_CRITICAL_CEILING = 0.3
 #: Acceptance floor: pipeline scaling efficiency at K=8 (layer
 #: sharding collapses to ~0.59 here; the pipeline must not).
 PIPELINE_K8_EFFICIENCY_FLOOR = 0.75
+#: Warmed, interleaved (single, sharded) forward pairs per wall ratio.
+WALL_REPEATS = 15
+#: Host-cost ceiling of the priced policies: sharded / single wall time.
+PRICED_WALL_RATIO_CEILING = 1.5
 
 
 def _make_fleet(num_envs=4):
@@ -52,12 +63,26 @@ def _make_fleet(num_envs=4):
     )
 
 
+def _wall_ratio(single, backend, states):
+    """Median sharded/single forward wall ratio over paired repeats."""
+    ratios = []
+    for _ in range(WALL_REPEATS):
+        start = time.perf_counter_ns()
+        single.forward_batch(states)
+        middle = time.perf_counter_ns()
+        backend.forward_batch(states)
+        ratios.append((time.perf_counter_ns() - middle) / (middle - start))
+    return statistics.median(ratios)
+
+
 def _scaling_rows(network, states, single_cycles, single_seconds):
     out = {}
+    single = SystolicBackend(network)
+    single.forward_batch(states)
     for policy in ("sample", "layer", "pipeline"):
         for shards in SHARD_COUNTS:
             backend = ShardedBackend(network, shards=shards, shard=policy)
-            backend.forward_batch(states[:2])  # warm caches
+            backend.forward_batch(states)  # warm caches and the price
             start = time.perf_counter()
             _, cost = backend.forward_batch(states)
             seconds = time.perf_counter() - start
@@ -79,6 +104,7 @@ def _scaling_rows(network, states, single_cycles, single_seconds):
                 ),
                 "wall_speedup": wall_speedup,
                 "wall_scaling_efficiency": wall_speedup / shards,
+                "wall_ratio": _wall_ratio(single, backend, states),
             }
     return out
 
@@ -190,6 +216,7 @@ def test_sharding_throughput(benchmark, results_dir):
             round(r["scaling_efficiency"], 2),
             round(r["wall_speedup"], 2),
             round(r["wall_scaling_efficiency"], 2),
+            round(r["wall_ratio"], 2),
         ]
         for r in results["scaling"].values()
     ]
@@ -197,6 +224,7 @@ def test_sharding_throughput(benchmark, results_dir):
         [
             "Policy", "K", "Critical kcyc", "Merge kcyc", "Bubble kcyc",
             "Cycle speedup", "Cycle eff", "Wall speedup", "Wall eff",
+            "Host x single",
         ],
         scaling_rows,
     )
@@ -245,6 +273,12 @@ def test_sharding_throughput(benchmark, results_dir):
     layer8 = results["scaling"]["layer-8"]
     assert pipe8["critical_path_cycles"] < layer8["critical_path_cycles"]
     assert pipe8["scaling_efficiency"] >= PIPELINE_K8_EFFICIENCY_FLOOR
+    # Host cost: the priced policies run one datapath forward, so
+    # sharding costs the simulator almost nothing at any K.
+    for policy in ("sample", "pipeline"):
+        for k in SHARD_COUNTS:
+            ratio = results["scaling"][f"{policy}-{k}"]["wall_ratio"]
+            assert ratio <= PRICED_WALL_RATIO_CEILING, (policy, k, ratio)
     # Pipeline bubbles are charged explicitly, never negative.
     for k in SHARD_COUNTS[1:]:
         assert results["scaling"][f"pipeline-{k}"]["fill_drain_cycles"] >= 0

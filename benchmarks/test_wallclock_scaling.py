@@ -6,9 +6,12 @@ properties of the accounting that every sharded forward and train step
 pays for:
 
 * **Cost-oracle memoisation** — hit/miss counters of the closed-form
-  cycle oracles over a steady-state forward/train loop, read back
-  through the ``repro.obs`` metrics registry; the overall hit rate
-  must reach the acceptance floor of 0.9.
+  cycle oracles over a forward/train loop, read back through the
+  ``repro.obs`` metrics registry.  The floor of 0.9 applies to the
+  steady state — every lookup after the first (cold) iteration — not
+  to the cold-start-inclusive overall rate, which also counts the
+  fixed cost of filling the tables and so falls whenever an
+  iteration needs fewer lookups.
 * **Accumulator linearity** — the :class:`StepCostAccumulator`
   add+peek loop at N and 10N records; the time ratio must stay
   near-linear (the O(K²) list-merge it replaced would blow up 100x).
@@ -24,7 +27,7 @@ from _artifacts import write_artifacts
 from repro.backend import ShardedBackend, StepCost, StepCostAccumulator
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.obs import MetricsRegistry, observed
-from repro.parallel import clear_memo_caches, publish_memo_metrics
+from repro.parallel import clear_memo_caches, memo_stats, publish_memo_metrics
 from repro.systolic.training import network_training_step_cost
 
 SIDE = 16
@@ -32,6 +35,8 @@ BATCH = 256
 SHARDS = 4
 #: Accumulator timings keep the best of ``TIMING_REPEATS``.
 TIMING_REPEATS = 3
+#: Forward/train steps of the memo loop (the first one fills the tables).
+MEMO_STEPS = 20
 #: Acceptance floor on the steady-state oracle hit rate.
 MEMO_HIT_RATE_FLOOR = 0.9
 #: Accumulator time ratio bound for a 10x record-count increase
@@ -68,13 +73,22 @@ def test_wallclock_scaling(benchmark, results_dir):
         registry = MetricsRegistry()
         backend = ShardedBackend(network, shards=SHARDS, shard="sample")
         with observed(registry=registry):
-            for _ in range(20):
+            for step in range(MEMO_STEPS):
+                if step == 1:
+                    cold = memo_stats()  # the first step filled the tables
                 backend.forward_batch(states)
                 network_training_step_cost(network, (1, SIDE, SIDE), BATCH)
-            publish_memo_metrics()
+            warm = publish_memo_metrics()
+        hits = misses = 0
+        for name, row in warm.items():
+            before = cold.get(name, {"hits": 0, "misses": 0})
+            hits += row["hits"] - before["hits"]
+            misses += row["misses"] - before["misses"]
         gauges = registry.snapshot()["gauges"]
         memo = {
             "hit_rate_overall": gauges["repro_memo_hit_rate_overall"],
+            "hit_rate_steady": hits / (hits + misses),
+            "steady_lookups_per_step": (hits + misses) / (MEMO_STEPS - 1),
             "gauges": {
                 k: v for k, v in gauges.items() if k.startswith("repro_memo")
             },
@@ -98,8 +112,10 @@ def test_wallclock_scaling(benchmark, results_dir):
     acc = results["accumulator"]
     body = (
         f"K={SHARDS} sample-sharded forward, batch={BATCH}\n"
-        f"cost-oracle memo hit rate (steady state): "
-        f"{memo['hit_rate_overall']:.3f} (floor {MEMO_HIT_RATE_FLOOR})\n"
+        f"cost-oracle memo hit rate: steady state "
+        f"{memo['hit_rate_steady']:.3f} (floor {MEMO_HIT_RATE_FLOOR}), "
+        f"overall {memo['hit_rate_overall']:.3f}, "
+        f"{memo['steady_lookups_per_step']:.0f} lookups per step\n"
         f"accumulator add+peek: {acc['n']} recs {acc['seconds_n'] * 1e3:.2f} "
         f"ms, {10 * acc['n']} recs {acc['seconds_10n'] * 1e3:.2f} ms "
         f"(ratio {acc['ratio']:.1f}x, ceiling "
@@ -113,5 +129,5 @@ def test_wallclock_scaling(benchmark, results_dir):
         {"batch": BATCH, "shards": SHARDS, **results},
     )
 
-    assert memo["hit_rate_overall"] >= MEMO_HIT_RATE_FLOOR
+    assert memo["hit_rate_steady"] >= MEMO_HIT_RATE_FLOOR
     assert acc["ratio"] <= ACCUMULATOR_RATIO_CEILING, acc

@@ -4,7 +4,7 @@ The ROADMAP's "serves heavy traffic" direction needs more than one
 32x32 array.  :class:`ShardedBackend` composes K child backends
 (default :class:`~repro.backend.systolic_backend.SystolicBackend`s,
 one per simulated array) behind the ordinary
-``forward_batch(states) -> (q_values, cost)`` seam, under two shard
+``forward_batch(states) -> (q_values, cost)`` seam, under three shard
 policies:
 
 * ``shard="sample"`` — data parallelism: the observation batch splits
@@ -35,9 +35,27 @@ channel's arithmetic is the exact same integer datapath — splitting a
 batch or slicing an output dimension removes no term and reorders no
 per-element sum — and the re-quantisation between layers is
 elementwise, so it commutes with the concatenation that merges shard
-outputs.  (``quantized=False`` float numerics agree only to round-off
-under sample sharding, because BLAS may re-associate sums for
-different batch shapes.)
+outputs.
+
+**Plan, then price.**  Because the numerics cannot tell the schedules
+apart, the ``sample`` and ``pipeline`` policies do not re-execute the
+batch chunk by chunk or stage by stage.  ``forward_batch`` runs *one*
+datapath forward over the whole batch on the shared child array and
+prices the schedule in closed form: one pure function per policy maps
+``(plan, chunk sizes, state shape, survivors, NoC)`` to a
+:class:`~repro.backend.base.ShardCost`, built on the memoised
+:func:`~repro.systolic.training.network_training_step_cost` oracle
+(whose per-layer cycles equal the executed ones exactly).  The same
+function prices ``train_cost`` — forward + backward plus the gradient
+traffic instead of the Q-row gather — and its fault-free result is
+memoised beside the oracles it is built on, so a steady-state forward
+costs one single-array forward plus one memo lookup.  Chaos retries
+and stragglers then stretch the priced per-array cycles.  The
+executing schedules live on as a test-only reference
+(``tests/sharded_reference.py``) that the priced costs are checked
+against field by field — the role ``fidelity="pe"`` plays for the
+kernels.  The ``layer`` policy still executes per slice: its
+per-array serving buffers are the chaos fault surface.
 
 Costs come back as a :class:`~repro.backend.base.ShardCost`:
 ``layer_cycles`` stay *work* (summed over arrays — note each array
@@ -56,7 +74,7 @@ is exactly the legacy one-cycle-per-element model, while ``ring`` and
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,9 +85,14 @@ from repro.obs.probes import PROBE
 from repro.fixedpoint.qformat import QFormat, Q2_13, Q8_8
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.network import Network
+from repro.parallel import memo as _memo
 from repro.systolic.array import ArrayConfig
 from repro.systolic.functional import FunctionalSystolicArray
 from repro.systolic.noc import NocModel
+from repro.systolic.training import (
+    _network_cost_signature,
+    network_training_step_cost,
+)
 
 __all__ = ["ShardedBackend", "SHARD_POLICIES"]
 
@@ -251,28 +274,105 @@ def _pipeline_stage_search(
     return best[1], best[2]
 
 
-def _parametric_input_elements(
-    network: Network, state_shape: tuple[int, ...]
-) -> list[int]:
-    """Per-row element count of each parametric layer's input tensor.
+def _split_sizes(rows: int, parts: int) -> list[int]:
+    """Chunk row counts of :func:`numpy.array_split` of ``rows`` rows."""
+    base, extra = divmod(rows, parts)
+    return [base + 1] * extra + [base] * (parts - extra)
+
+
+def _row_elements(network: Network, state_shape: tuple[int, ...]) -> list[int]:
+    """Per-row element counts of the tensors that cross array links.
 
     Walks the built layer stack tracking the activation shape from
-    ``state_shape`` (C, H, W) — the tensor that crosses an inter-array
-    link when a stage or slice boundary sits just before that layer.
+    ``state_shape`` (C, H, W).  Entry ``p`` is the input of parametric
+    layer ``p`` — what moves when a stage boundary sits just before
+    it — and the last entry is the network's output row (a Q row).
     """
     c, h, w = (int(v) for v in state_shape)
     elements: list[int] = []
+    current = c * h * w
     for layer in network.layers:
         if isinstance(layer, Conv2D):
             elements.append(c * h * w)
             c, h, w = layer.output_shape(h, w)
+            current = c * h * w
         elif isinstance(layer, MaxPool2D):
             h, w = layer.output_shape(h, w)
+            current = c * h * w
         elif isinstance(layer, Dense):
             elements.append(layer.in_features)
+            current = layer.out_features
         # ReLU / norm / flatten: no shape change that matters here
         # (flatten keeps c*h*w, which is what Dense.in_features reads).
+    elements.append(current)
     return elements
+
+
+@dataclass(frozen=True)
+class _Priced:
+    """A fault-free schedule price and the spans that narrate it.
+
+    ``spans`` holds one ``(cycles, span args)`` pair per executed piece
+    of the schedule — a sample chunk, or a pipeline (stage, micro-batch)
+    — in the order the executing schedule would have emitted them.
+    """
+
+    cost: ShardCost
+    spans: tuple[tuple[int, dict], ...]
+
+
+class _Bill:
+    """Running totals of one priced schedule over K arrays."""
+
+    def __init__(self, backend: "ShardedBackend"):
+        self.backend = backend
+        self.shard_cycles = [0] * backend.shards
+        self.layer_cycles: dict[str, int] = {}
+        self.macs = 0
+        self.merge = 0
+        self.merge_hops = 0
+
+    def work(self, step) -> None:
+        """Charge one array-run of the network (a training-step record).
+
+        Layer names key as on the single-array backend: a duplicate
+        name within one run gets a ``'`` suffix rather than swallowing
+        another layer's cycles; runs sum key-wise.
+        """
+        self.macs += step.total_macs
+        seen: set[str] = set()
+        for layer in step.layers:
+            name = layer.name
+            while name in seen:
+                name += "'"
+            seen.add(name)
+            self.layer_cycles[name] = (
+                self.layer_cycles.get(name, 0) + layer.total_cycles
+            )
+
+    def ship(self, elements: int, src: int, dst: int) -> None:
+        """Charge one inter-array transfer on the backend's NoC."""
+        if src == dst:
+            return
+        noc = self.backend._noc
+        self.merge += noc.transfer_cycles(elements, src, dst)
+        self.merge_hops += noc.element_hops(elements, src, dst)
+
+    def cost(self, states: int, compute: int, fill_drain: int = 0) -> ShardCost:
+        """The record, given the schedule's compute makespan (and the
+        part of it the schedule's bubbles account for)."""
+        backend = self.backend
+        return ShardCost(
+            backend=backend.name, states=states, macs=self.macs,
+            layer_cycles=self.layer_cycles, shards=backend.shards,
+            shard_cycles=tuple(self.shard_cycles),
+            critical_path_cycles=compute + self.merge,
+            merge_cycles=self.merge,
+            critical_shard_index=_argmax(self.shard_cycles),
+            merge_hops=self.merge_hops,
+            fill_drain_cycles=fill_drain,
+            noc=backend.noc,
+        )
 
 
 @register_backend("sharded")
@@ -286,8 +386,9 @@ class ShardedBackend(ExecutionBackend):
     shards:
         Number of arrays K (>= 1).
     shard:
-        ``"sample"`` (split the batch) or ``"layer"`` (split conv
-        filters / FC output neurons).
+        ``"sample"`` (split the batch), ``"layer"`` (split conv
+        filters / FC output neurons) or ``"pipeline"`` (stage the
+        layers).
     config / fidelity / quantized / weight_format / activation_format:
         Passed through to every child :class:`SystolicBackend` — each
         array runs the same datapath the single-array backend models.
@@ -303,6 +404,18 @@ class ShardedBackend(ExecutionBackend):
         only).  ``None`` picks ``max(1, batch // (8 * K))`` — about 8
         chunks per array, enough overlap to amortise fill/drain
         without drowning in per-chunk filter reloads.
+
+    Spans
+    -----
+    With the probe active, every forward emits one ``shard.forward``
+    span per piece of the schedule — per non-empty sample chunk
+    (``shard``, ``states``) or per pipeline (stage, micro-batch)
+    (``shard``, ``stage``, ``states``) — carrying that piece's priced
+    ``cycles``.  Under ``sample`` / ``pipeline`` the host runs a single
+    datapath forward for the whole batch; its measured wall time rides
+    on the first span and the rest are zero-length, so
+    :meth:`~repro.obs.trace.Tracer.summary` sums to the host time
+    actually spent.  ``layer`` spans time each executed slice.
     """
 
     def __init__(
@@ -354,6 +467,9 @@ class ShardedBackend(ExecutionBackend):
         #: Pipeline stage layouts, keyed on (alive arrays, state shape,
         #: chunk rows, chunk count); cleared on crash failover.
         self._pipeline_plans: dict[tuple, PipelinePlan] = {}
+        #: Geometry signature of the network (its layer stack never
+        #: changes under a backend), part of every price's memo key.
+        self._geometry = _network_cost_signature(network, 0)
         if shard != "layer":
             # Sample and pipeline policies: every array downloads the
             # full model.  All K copies are byte-identical, so one
@@ -600,6 +716,9 @@ class ShardedBackend(ExecutionBackend):
           backward through the stages; fill/drain bubbles are charged
           explicitly and boundary activations (and their gradients)
           cross the NoC.
+
+        Sample and pipeline are priced by the same function as their
+        forward (:meth:`_priced`), at training depth.
         """
         alive = (
             [k for k in range(self.shards) if k not in FAULTS.injector.dead_shards]
@@ -616,71 +735,170 @@ class ShardedBackend(ExecutionBackend):
             )
         if self.shard == "layer":
             return self._train_cost_layer(batch_size, state_shape, first_trainable)
-        if self.shard == "pipeline":
-            return self._train_cost_pipeline(
-                batch_size, state_shape, first_trainable, alive
-            )
-        return self._train_cost_sample(
-            batch_size, state_shape, first_trainable, alive
-        )
+        cost = self._priced(
+            batch_size, state_shape, tuple(alive), first_trainable
+        ).cost
+        return replace(cost, layer_cycles=dict(cost.layer_cycles))
 
-    def _ship(self, elements: int, src: int, dst: int) -> tuple[int, int]:
-        """NoC (cycles, element-hops) of one inter-array transfer."""
-        return (
-            self._noc.transfer_cycles(elements, src, dst),
-            self._noc.element_hops(elements, src, dst),
-        )
-
-    def _train_cost_sample(
+    # ------------------------------------------------------------------
+    # Sample and pipeline policies: one forward, a priced schedule
+    # ------------------------------------------------------------------
+    def _priced(
         self,
-        batch_size: int,
+        rows: int,
         state_shape: tuple[int, ...],
-        first_trainable: int,
-        alive: list[int],
-    ) -> ShardCost:
-        """Data-parallel training: chunked batch, gradient all-reduce."""
-        from repro.systolic.training import network_training_step_cost
+        alive: tuple[int, ...],
+        first_trainable: int | None,
+    ) -> _Priced:
+        """The fault-free price of a ``rows``-row schedule.
 
-        sizes = [
-            len(chunk)
-            for chunk in np.array_split(np.arange(batch_size), len(alive))
-        ]
-        shard_cycles = [0] * self.shards
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        contributors = []
+        The plan — chunk sizes over the survivors, plus the stage layout
+        under ``pipeline`` — is fixed first; the policy's price is then a
+        pure function of ``(plan, chunk sizes, state shape, survivors)``
+        and the backend's geometry, array config and NoC.
+        ``first_trainable=None`` prices inference (forward GEMMs plus
+        the Q-row gather); an index prices a training step from that
+        layer on (forward + backward plus the gradient traffic).
+
+        Prices are memoised in the cost-oracle memo (table
+        ``sharded_price``) beside the per-layer oracles they are built
+        on: a steady-state forward pays one counted lookup.
+        """
+        state_shape = tuple(int(v) for v in state_shape)
+        if self.shard == "sample":
+            plan, sizes = None, tuple(_split_sizes(rows, len(alive)))
+            price = self._price_sample
+        else:
+            plan, sizes = self._pipeline_plan(alive, state_shape, rows)
+            price = self._price_pipeline
+        args = (plan, sizes, state_shape, alive, first_trainable)
+        if not _memo.memo_enabled():
+            return price(*args)
+        key = (self._geometry, self.config, self._noc, self.shard) + args
+        table = _memo.cache("sharded_price")
+        priced = table.get(key)
+        if priced is _memo._MISS:
+            priced = table.put(key, price(*args))
+        return priced
+
+    def _step(self, state_shape, rows: int, first_trainable: int | None):
+        """Closed-form cost of one array running the network on ``rows``."""
+        if first_trainable is None:
+            first_trainable = len(self.network.layers)  # forward only
+        return network_training_step_cost(
+            self.network, state_shape, rows,
+            config=self.config, first_trainable=first_trainable,
+        )
+
+    def _price_sample(
+        self, _plan, sizes, state_shape, alive, first_trainable
+    ) -> _Priced:
+        """Data parallel: each alive array runs the whole network over
+        its :func:`numpy.array_split` chunk, ``sizes`` aligned with
+        ``alive`` (a batch narrower than K leaves arrays idle; after a
+        crash the same rows re-split over the survivors).  Inference
+        gathers every non-root chunk's Q rows to the root array;
+        training all-reduces each non-root array's full weight gradient
+        to it."""
+        bill = _Bill(self)
+        q_row = _row_elements(self.network, state_shape)[-1]
+        grad = (
+            None if first_trainable is None
+            else sum(p.size for p in self.network.parameters(first_trainable))
+        )
+        spans = []
         for k, size in zip(alive, sizes):
             if size == 0:
-                continue  # batch narrower than K: array k sits idle
-            contributors.append(k)
-            step = network_training_step_cost(
-                self.network, state_shape, size,
-                config=self.config, first_trainable=first_trainable,
+                continue
+            step = self._step(state_shape, size, first_trainable)
+            bill.work(step)
+            bill.shard_cycles[k] = step.total_cycles
+            bill.ship(size * q_row if grad is None else grad, k, alive[0])
+            spans.append((step.total_cycles, {"shard": k, "states": size}))
+        return _Priced(bill.cost(sum(sizes), max(bill.shard_cycles)), tuple(spans))
+
+    def _price_pipeline(
+        self, plan, sizes, state_shape, alive, first_trainable
+    ) -> _Priced:
+        """Pipelined: micro-batches of ``sizes`` rows stream through the
+        stages of ``plan``.
+
+        Each stage's per-chunk time is its layers' cycles from the
+        closed-form oracle; :func:`_pipeline_schedule` yields the
+        makespan, per-array busy cycles and which array served each
+        chunk, hence the fill/drain bubbles.  Every chunk's boundary
+        activation crosses the NoC between the arrays that served it.
+        Inference then gathers the last stage's Q rows to its first
+        array; training instead sends the dX gradient back over every
+        boundary with a trainable layer below it, and replicated stages
+        all-reduce their weight gradients to their first array.
+        """
+        bill = _Bill(self)
+        steps = [self._step(state_shape, size, first_trainable) for size in sizes]
+        for step in steps:
+            bill.work(step)
+        bounds = plan.param_bounds
+        times = [
+            [sum(c.total_cycles for c in step.layers[lo:hi]) for step in steps]
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        compute, busy, assign = _pipeline_schedule(times, plan.widths)
+        served = [  # served[s][m]: the array running stage s on chunk m
+            [arrays[a] for a in stage_assign]
+            for arrays, stage_assign in zip(plan.stage_arrays, assign)
+        ]
+        for arrays, stage_busy in zip(plan.stage_arrays, busy):
+            for orig, cycles in zip(arrays, stage_busy):
+                bill.shard_cycles[orig] = cycles
+        row_elements = _row_elements(self.network, state_shape)
+        param_indices = [i for i, _layer in self.network.parametric_layers()]
+        for s in range(1, plan.stages):
+            # Backprop returns the dX gradient over this boundary iff a
+            # trainable parametric layer sits below it.
+            crossings = 1 + (
+                first_trainable is not None
+                and param_indices[bounds[s] - 1] >= first_trainable
             )
-            shard_cycles[k] = step.total_cycles
-            macs += step.total_macs
-            for layer in step.layers:
-                name = layer.name
-                layer_cycles[name] = layer_cycles.get(name, 0) + layer.total_cycles
-        grad_elements = sum(p.size for p in self.network.parameters(first_trainable))
-        merge = 0
-        merge_hops = 0
-        root = contributors[0] if contributors else alive[0]
-        for k in contributors[1:]:
-            # Each non-root array ships its full weight gradient to the
-            # root (flat NoC: one cycle per element — the legacy charge).
-            cycles, hops = self._ship(grad_elements, k, root)
-            merge += cycles
-            merge_hops += hops
-        critical = max(shard_cycles) + merge
-        return ShardCost(
-            backend=self.name, states=batch_size, macs=macs,
-            layer_cycles=layer_cycles, shards=self.shards,
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
+            for m, size in enumerate(sizes):
+                bill.ship(
+                    size * row_elements[bounds[s]] * crossings,
+                    served[s - 1][m], served[s][m],
+                )
+        if first_trainable is None:
+            q_hub = plan.stage_arrays[-1][0]
+            for m, size in enumerate(sizes):
+                bill.ship(size * row_elements[-1], served[-1][m], q_hub)
+        else:
+            for s, arrays in enumerate(plan.stage_arrays):
+                lo, hi = bounds[s], bounds[s + 1]
+                stage_grad = sum(c.weight_elements for c in steps[0].layers[lo:hi])
+                for orig in arrays[1:]:
+                    bill.ship(stage_grad, orig, arrays[0])
+        spans = tuple(
+            (times[s][m], {"shard": served[s][m], "stage": s, "states": size})
+            for s in range(plan.stages)
+            for m, size in enumerate(sizes)
         )
+        return _Priced(
+            bill.cost(sum(sizes), compute, compute - max(bill.shard_cycles)),
+            spans,
+        )
+
+    def _fault_extras(self, shard_cycles) -> tuple[list[int], int]:
+        """Per-array cycles stretched by this forward's chaos draws.
+
+        Every busy array, in array order, pays its transient retries
+        and straggler slowdown (:meth:`_chaos_extra`).  Returns the new
+        per-array cycles and the total added.
+        """
+        stretched = list(shard_cycles)
+        added = 0
+        for k, cycles in enumerate(shard_cycles):
+            if cycles:
+                extra = self._chaos_extra(k, cycles)
+                stretched[k] += extra
+                added += extra
+        return stretched, added
 
     def _train_cost_layer(
         self,
@@ -710,21 +928,10 @@ class ShardedBackend(ExecutionBackend):
         from repro.systolic.training import _conv_layer_cost, _fc_layer_cost
 
         c, h, w = (int(v) for v in state_shape)
-        shard_cycles = [0] * self.shards
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        merge = 0
-        merge_hops = 0
+        bill = _Bill(self)
         critical = 0
         hub_orig: int | None = None  # array holding the merged activation
         prev_param: tuple[int, list[int]] | None = None
-
-        def ship(elements: int, src: int, dst: int) -> None:
-            nonlocal merge, merge_hops
-            cycles, hops = self._ship(elements, src, dst)
-            merge += cycles
-            merge_hops += hops
-
         for index, layer in enumerate(self.network.layers):
             assignments = self._plan.get(index)
             if not assignments:
@@ -739,8 +946,7 @@ class ShardedBackend(ExecutionBackend):
                 # Forward: broadcast the merged activation to the other
                 # arrays computing this layer (inference's charge).
                 for dst in consumers:
-                    if dst != hub_orig:
-                        ship(act_in, hub_orig, dst)
+                    bill.ship(act_in, hub_orig, dst)
             if is_conv:
                 oh = (h + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
                 ow = (w + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
@@ -761,18 +967,20 @@ class ShardedBackend(ExecutionBackend):
                         layer.name, layer.in_features, hi - lo, batch_size,
                         self.config, trainable,
                     )
-                shard_cycles[orig] += cost.total_cycles
+                bill.shard_cycles[orig] += cost.total_cycles
                 slice_cycles.append(cost.total_cycles)
-                macs += cost.total_macs
-                name = layer.name
-                layer_cycles[name] = layer_cycles.get(name, 0) + cost.total_cycles
+                bill.macs += cost.total_macs
+                bill.layer_cycles[layer.name] = (
+                    bill.layer_cycles.get(layer.name, 0) + cost.total_cycles
+                )
             critical += max(slice_cycles)
             new_hub = self._position_to_shard[assignments[0][0]]
             # Forward: gather the output slices to the layer's hub.
             for k, _sliced, lo, hi in assignments:
-                orig = self._position_to_shard[k]
-                if orig != new_hub:
-                    ship(batch_size * (hi - lo) * per_unit, orig, new_hub)
+                bill.ship(
+                    batch_size * (hi - lo) * per_unit,
+                    self._position_to_shard[k], new_hub,
+                )
             # Backward: partial-dX reduction, only while gradient still
             # flows to a trainable layer below this one.
             if (
@@ -781,128 +989,14 @@ class ShardedBackend(ExecutionBackend):
                 and prev_param[0] >= first_trainable
             ):
                 for orig in consumers:
-                    if orig != new_hub:
-                        ship(act_in, orig, new_hub)
+                    bill.ship(act_in, orig, new_hub)
                 for dst in prev_param[1]:
-                    if dst != new_hub:
-                        ship(act_in, new_hub, dst)
+                    bill.ship(act_in, new_hub, dst)
             if is_conv:
                 c, h, w = layer.out_channels, oh, ow
             hub_orig = new_hub
             prev_param = (index, consumers)
-        critical += merge
-        return ShardCost(
-            backend=self.name, states=batch_size, macs=macs,
-            layer_cycles=layer_cycles, shards=self.shards,
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
-        )
-
-    def _train_cost_pipeline(
-        self,
-        batch_size: int,
-        state_shape: tuple[int, ...],
-        first_trainable: int,
-        alive: list[int],
-    ) -> ShardCost:
-        """Pipelined training: micro-batches stream through the stages.
-
-        Each stage's per-chunk time is its layers' forward + backward
-        GEMM cycles from the closed-form oracle; the same chunked
-        schedule as inference yields the makespan, per-array busy
-        cycles and fill/drain bubbles.  Stage-boundary activations
-        cross the NoC once forward and — while a trainable layer sits
-        below the boundary — once more backward as the dX gradient;
-        replicated (width > 1) stages additionally all-reduce their
-        local weight gradients within the stage.
-        """
-        from repro.systolic.training import network_training_step_cost
-
-        state_shape = tuple(int(v) for v in state_shape)
-        chunk_rows = self._resolve_pipeline_chunk(batch_size, len(alive))
-        num_chunks = max(1, -(-batch_size // chunk_rows))
-        plan = self._pipeline_plan(
-            tuple(alive), state_shape, chunk_rows, num_chunks
-        )
-        sizes = [
-            len(chunk)
-            for chunk in np.array_split(np.arange(batch_size), num_chunks)
-            if len(chunk) > 0  # zero-row chunks never enter the schedule
-        ]
-        num_chunks = len(sizes)
-        steps = {
-            size: network_training_step_cost(
-                self.network, state_shape, size,
-                config=self.config, first_trainable=first_trainable,
-            )
-            for size in set(sizes)
-        }
-        stages = plan.stages
-        times = [[0] * num_chunks for _ in range(stages)]
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        for m, size in enumerate(sizes):
-            step = steps[size]
-            macs += step.total_macs
-            for s in range(stages):
-                lo, hi = plan.param_bounds[s], plan.param_bounds[s + 1]
-                times[s][m] = sum(
-                    cost.total_cycles for cost in step.layers[lo:hi]
-                )
-            for cost in step.layers:
-                layer_cycles[cost.name] = (
-                    layer_cycles.get(cost.name, 0) + cost.total_cycles
-                )
-        critical_compute, busy, assign = _pipeline_schedule(
-            times, plan.widths
-        )
-        shard_cycles = [0] * self.shards
-        for s, arrays in enumerate(plan.stage_arrays):
-            for a, orig in enumerate(arrays):
-                shard_cycles[orig] = busy[s][a]
-        merge = 0
-        merge_hops = 0
-        boundary_rows = _parametric_input_elements(self.network, state_shape)
-        param_indices = [i for i, _l in self.network.parametric_layers()]
-        ref_layers = steps[sizes[0]].layers
-        for s in range(1, stages):
-            first_param = plan.param_bounds[s]
-            rows = boundary_rows[first_param]
-            # Gradient crosses back over this boundary iff a trainable
-            # parametric layer sits below it (backprop reaches it).
-            grad_crosses = param_indices[first_param - 1] >= first_trainable
-            for m in range(num_chunks):
-                src = plan.stage_arrays[s - 1][assign[s - 1][m]]
-                dst = plan.stage_arrays[s][assign[s][m]]
-                elements = sizes[m] * rows * (2 if grad_crosses else 1)
-                cycles, hops = self._ship(elements, src, dst)
-                merge += cycles
-                merge_hops += hops
-        for s, arrays in enumerate(plan.stage_arrays):
-            if len(arrays) <= 1:
-                continue
-            # Replicated stage: each replica trained on its own chunks,
-            # so the stage's weight gradients all-reduce to its first
-            # array before the update applies.
-            lo, hi = plan.param_bounds[s], plan.param_bounds[s + 1]
-            stage_grad = sum(cost.weight_elements for cost in ref_layers[lo:hi])
-            for orig in arrays[1:]:
-                cycles, hops = self._ship(stage_grad, orig, arrays[0])
-                merge += cycles
-                merge_hops += hops
-        fill_drain = critical_compute - max(shard_cycles)
-        critical = critical_compute + merge
-        return ShardCost(
-            backend=self.name, states=batch_size, macs=macs,
-            layer_cycles=layer_cycles, shards=self.shards,
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, fill_drain_cycles=fill_drain,
-            noc=self.noc,
-        )
+        return bill.cost(batch_size, critical)
 
     def _requantize(self, x: np.ndarray) -> np.ndarray:
         return self.activation_format.quantize(x) if self.quantized else x
@@ -913,64 +1007,46 @@ class ShardedBackend(ExecutionBackend):
             raise ValueError(f"expected an (N, C, H, W) state batch, got {x.shape}")
         if FAULTS.enabled:
             self._chaos_forward = FAULTS.injector.note_forward()
-        if self.shard == "sample":
-            return self._forward_sample(x)
-        if self.shard == "pipeline":
-            return self._forward_pipeline(x)
-        return self._forward_layer_sharded(x)
+        if self.shard == "layer":
+            return self._forward_layer_sharded(x)
+        return self._forward_priced(x)
 
-    def _forward_sample(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """Each array runs the whole network over its batch chunk.
+    def _forward_priced(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
+        """One datapath forward over the batch, the schedule priced.
 
-        The batch splits over the *surviving* arrays — after a crash
-        failover the same work re-splits onto fewer chunks, so each
-        survivor's chunk (and cycle bill) grows by ~K/(K-1).  With every
-        array alive the split is exactly the original one.
+        The survivors are known before anything runs (crash failover
+        re-splits the batch or re-plans the stages over them), the Q
+        values come from the shared child array in one pass, and the
+        cost is the cached price of the chunked schedule — stretched,
+        under chaos, by each busy array's retries and stragglers: a
+        barrier (sample) waits on the slowest stretched array, a
+        pipeline's makespan absorbs every stretch.
         """
-        n = x.shape[0]
-        active = self._active_shards()
-        if not active:
+        alive = self._active_shards()
+        if not alive:
             return self._forward_degraded(x)
-        chunks = np.array_split(x, len(active))
-        outputs = []
-        shard_cycles = [0] * self.shards
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        merge = 0
-        merge_hops = 0
-        root = active[0]
-        for k, chunk in zip(active, chunks):
-            if chunk.shape[0] == 0:
-                continue  # batch narrower than K: array k idles
-            start = time.perf_counter_ns()
-            q_k, cost_k = self.children[k].forward_batch(chunk)
-            PROBE.record_span(
-                "shard.forward", time.perf_counter_ns() - start,
-                cycles=cost_k.total_cycles, shard=k, states=chunk.shape[0],
-            )
-            outputs.append(q_k)
-            cycles_k = cost_k.total_cycles
-            if FAULTS.enabled:
-                cycles_k += self._chaos_extra(k, cycles_k)
-            shard_cycles[k] = cycles_k
-            macs += cost_k.macs
-            for name, cycles in cost_k.layer_cycles.items():
-                layer_cycles[name] = layer_cycles.get(name, 0) + cycles
-            if k != root:
-                # Gathering array k's Q rows to the root array over the
-                # NoC (flat: one element per link cycle, the legacy
-                # charge; the root's rows stay put).
-                cycles, hops = self._ship(q_k.size, k, root)
-                merge += cycles
-                merge_hops += hops
-        q_values = np.concatenate(outputs, axis=0)
-        critical = max(shard_cycles) + merge
-        return q_values, ShardCost(
-            backend=self.name, states=n, macs=macs, layer_cycles=layer_cycles,
-            shards=self.shards, shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
+        start = time.perf_counter_ns()
+        q_values, _ = self.children[0].forward_batch(x)
+        wall = time.perf_counter_ns() - start
+        priced = self._priced(x.shape[0], x.shape[1:], tuple(alive), None)
+        if PROBE.enabled:
+            for i, (cycles, args) in enumerate(priced.spans):
+                PROBE.record_span(
+                    "shard.forward", wall if i == 0 else 0, cycles=cycles, **args
+                )
+        cost = priced.cost
+        if not FAULTS.enabled:
+            return q_values, replace(cost, layer_cycles=dict(cost.layer_cycles))
+        shard_cycles, added = self._fault_extras(cost.shard_cycles)
+        compute = cost.critical_path_cycles - cost.merge_cycles
+        compute = max(shard_cycles) if self.shard == "sample" else compute + added
+        return q_values, replace(
+            cost,
+            layer_cycles=dict(cost.layer_cycles),
+            shard_cycles=tuple(shard_cycles),
+            critical_path_cycles=compute + cost.merge_cycles,
             critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
+            fill_drain_cycles=compute - max(shard_cycles),
         )
 
     def _forward_layer_sharded(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
@@ -999,11 +1075,7 @@ class ShardedBackend(ExecutionBackend):
         if FAULTS.enabled and not self._active_shards():
             return self._forward_degraded(x)
         x = self._requantize(x)
-        shard_cycles = [0] * self.shards
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        merge = 0
-        merge_hops = 0
+        bill = _Bill(self)
         critical = 0
         hub: int | None = None
         pe_sim = (
@@ -1011,12 +1083,6 @@ class ShardedBackend(ExecutionBackend):
             if self.fidelity == "pe"
             else None
         )
-
-        def charge(name: str, cycles: int) -> None:
-            while name in layer_cycles:
-                name += "'"
-            layer_cycles[name] = cycles
-
         for index, layer in enumerate(self.network.layers):
             assignments = self._plan.get(index)
             if not assignments:
@@ -1032,15 +1098,10 @@ class ShardedBackend(ExecutionBackend):
                     # consumes its own copy (so a layer feeding several
                     # arrays charges each link once, no double count).
                     hub_orig = self._position_to_shard[hub]
-                    for k in sorted({k for k, *_rest in assignments} - {hub}):
-                        cycles, hops = self._ship(
-                            x.size, hub_orig, self._position_to_shard[k]
-                        )
-                        merge += cycles
-                        merge_hops += hops
+                    for k, *_rest in assignments:
+                        bill.ship(x.size, hub_orig, self._position_to_shard[k])
                 parts = []
                 slice_cycles = []
-                work = 0
                 for k, sliced, _lo, _hi in assignments:
                     orig = self._position_to_shard[k]
                     with PROBE.span(
@@ -1051,71 +1112,54 @@ class ShardedBackend(ExecutionBackend):
                         )
                         sp.add_cycles(cycles_k)
                     parts.append(out_k)
-                    shard_cycles[orig] += cycles_k
+                    bill.shard_cycles[orig] += cycles_k
                     slice_cycles.append(cycles_k)
-                    work += cycles_k
-                    macs += macs_k
+                    bill.macs += macs_k
                 x = np.concatenate(parts, axis=1)
-                charge(layer.name, work)
+                name = layer.name
+                while name in bill.layer_cycles:  # never merge duplicates
+                    name += "'"
+                bill.layer_cycles[name] = sum(slice_cycles)
                 # Gather every non-hub slice into the full activation.
                 hub = assignments[0][0]
                 hub_orig = self._position_to_shard[hub]
-                for (k, *_rest), part in zip(assignments[1:], parts[1:]):
-                    cycles, hops = self._ship(
-                        part.size, self._position_to_shard[k], hub_orig
-                    )
-                    merge += cycles
-                    merge_hops += hops
+                for (k, *_rest), part in zip(assignments, parts):
+                    bill.ship(part.size, self._position_to_shard[k], hub_orig)
                 critical += max(slice_cycles)
             x = self._requantize(x)
-        critical += merge
         if FAULTS.enabled:
             # Transient retries and stragglers stretch each array's
             # per-layer slices; charged conservatively to the critical
             # path (every layer barrier waits on its slowest slice).
-            for orig in self._position_to_shard:
-                if shard_cycles[orig] == 0:
-                    continue
-                extra = self._chaos_extra(orig, shard_cycles[orig])
-                shard_cycles[orig] += extra
-                critical += extra
-        return x, ShardCost(
-            backend=self.name, states=n, macs=macs, layer_cycles=layer_cycles,
-            shards=self.shards, shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, noc=self.noc,
-        )
+            bill.shard_cycles, added = self._fault_extras(bill.shard_cycles)
+            critical += added
+        return x, bill.cost(n, critical)
 
     # ------------------------------------------------------------------
     # Pipeline policy
     # ------------------------------------------------------------------
-    def _resolve_pipeline_chunk(self, n: int, arrays: int) -> int:
-        """Micro-batch rows per pipeline chunk for an ``n``-row batch."""
-        if self.pipeline_chunk is not None:
-            return self.pipeline_chunk
-        return max(1, n // (8 * arrays))
-
     def _pipeline_plan(
         self,
         alive: tuple[int, ...],
         state_shape: tuple[int, ...],
-        chunk_rows: int,
-        num_chunks: int,
-    ) -> PipelinePlan:
-        """The (cached) stage layout over the surviving arrays.
+        rows: int,
+    ) -> tuple[PipelinePlan, tuple[int, ...]]:
+        """The (cached) stage layout over the surviving arrays, and the
+        micro-batch row counts of a ``rows``-row batch.
 
-        Stage bounds and widths come from the closed-form per-layer
-        cycle oracle at the micro-batch size — it matches the measured
-        ``forward_layer`` cycles exactly, so no probe forwards run —
-        scored against the actual chunked schedule.
+        Chunks hold ``pipeline_chunk`` rows, or by default
+        ``rows // (8 * arrays)`` (at least one).  Stage bounds and
+        widths come from the closed-form per-layer cycle oracle at the
+        micro-batch size, scored against the actual chunked schedule.
         """
+        chunk_rows = self.pipeline_chunk or max(1, rows // (8 * len(alive)))
+        num_chunks = max(1, -(-rows // chunk_rows))
+        # Zero-row chunks never enter the schedule.
+        sizes = tuple(size for size in _split_sizes(rows, num_chunks) if size)
         key = (alive, tuple(int(v) for v in state_shape), chunk_rows, num_chunks)
         plan = self._pipeline_plans.get(key)
         if plan is not None:
-            return plan
-        from repro.systolic.training import network_training_step_cost
-
+            return plan, sizes
         step = network_training_step_cost(
             self.network, state_shape, chunk_rows,
             config=self.config,
@@ -1142,122 +1186,4 @@ class ShardedBackend(ExecutionBackend):
             stage_arrays=tuple(stage_arrays),
         )
         self._pipeline_plans[key] = plan
-        return plan
-
-    def _forward_pipeline(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """The batch streams through layer stages in micro-batches.
-
-        Stages own contiguous layer ranges (plan from the cycle
-        oracle); each micro-batch runs the stages in order on the
-        stage's earliest-free array, so consecutive chunks overlap
-        across stages.  Compute is bitwise the single-array datapath —
-        chunking the batch and the elementwise re-quantisation after
-        every layer both commute with concatenation — while the *cost*
-        records the pipeline schedule: per-array busy cycles, the
-        fill/drain bubbles the schedule cannot hide
-        (``fill_drain_cycles``) and NoC transfer cycles for every
-        stage-boundary hand-off plus the final Q gather.
-        """
-        n = x.shape[0]
-        active = self._active_shards()
-        if not active:
-            return self._forward_degraded(x)
-        chunk_rows = self._resolve_pipeline_chunk(n, len(active))
-        num_chunks = max(1, -(-n // chunk_rows))
-        plan = self._pipeline_plan(
-            tuple(active), x.shape[1:], chunk_rows, num_chunks
-        )
-        chunks = [
-            chunk for chunk in np.array_split(x, num_chunks)
-            if chunk.shape[0] > 0  # zero-row chunks never dispatch
-        ]
-        num_chunks = len(chunks)
-        stages = plan.stages
-        times = [[0] * num_chunks for _ in range(stages)]
-        walls = [[0] * num_chunks for _ in range(stages)]
-        boundary_sizes = [[0] * num_chunks for _ in range(stages)]
-        layer_cycles: dict[str, int] = {}
-        macs = 0
-        outputs = []
-        pe_sim = (
-            FunctionalSystolicArray(self.config, fidelity="pe")
-            if self.fidelity == "pe"
-            else None
-        )
-        child = self.children[0]
-        for m, chunk in enumerate(chunks):
-            h = self._requantize(chunk)
-            for s, (lo, hi) in enumerate(plan.layer_ranges):
-                if s > 0:
-                    boundary_sizes[s][m] = h.size
-                start = time.perf_counter_ns()
-                stage_cycles = 0
-                for index in range(lo, hi):
-                    layer = self.network.layers[index]
-                    if isinstance(layer, (Conv2D, Dense)):
-                        h, cycles, macs_m = child.forward_layer(layer, h, pe_sim)
-                        stage_cycles += cycles
-                        macs += macs_m
-                        layer_cycles[layer.name] = (
-                            layer_cycles.get(layer.name, 0) + cycles
-                        )
-                    else:
-                        h = layer.forward(h, training=False)
-                    h = self._requantize(h)
-                times[s][m] = stage_cycles
-                walls[s][m] = time.perf_counter_ns() - start
-            outputs.append(h)
-        q_values = np.concatenate(outputs, axis=0)
-        critical_compute, busy, assign = _pipeline_schedule(times, plan.widths)
-        shard_cycles = [0] * self.shards
-        for s, arrays in enumerate(plan.stage_arrays):
-            for a, orig in enumerate(arrays):
-                shard_cycles[orig] = busy[s][a]
-        for s in range(stages):
-            for m in range(num_chunks):
-                PROBE.record_span(
-                    "shard.forward", walls[s][m], cycles=times[s][m],
-                    shard=plan.stage_arrays[s][assign[s][m]],
-                    stage=s, states=chunks[m].shape[0],
-                )
-        # Stage hand-offs: chunk m leaves stage s-1's serving array for
-        # stage s's, paying the NoC for the boundary activation; the
-        # last stage's non-hub arrays then gather their Q rows.
-        merge = 0
-        merge_hops = 0
-        for s in range(1, stages):
-            for m in range(num_chunks):
-                cycles, hops = self._ship(
-                    boundary_sizes[s][m],
-                    plan.stage_arrays[s - 1][assign[s - 1][m]],
-                    plan.stage_arrays[s][assign[s][m]],
-                )
-                merge += cycles
-                merge_hops += hops
-        q_hub = plan.stage_arrays[-1][0]
-        for m, out in enumerate(outputs):
-            src = plan.stage_arrays[-1][assign[-1][m]]
-            if src != q_hub:
-                cycles, hops = self._ship(out.size, src, q_hub)
-                merge += cycles
-                merge_hops += hops
-        if FAULTS.enabled:
-            # Transient retries and stragglers stretch an array's busy
-            # time; charged conservatively to the makespan (every chunk
-            # behind the slow array waits).
-            for orig in active:
-                if shard_cycles[orig] == 0:
-                    continue
-                extra = self._chaos_extra(orig, shard_cycles[orig])
-                shard_cycles[orig] += extra
-                critical_compute += extra
-        fill_drain = critical_compute - max(shard_cycles)
-        critical = critical_compute + merge
-        return q_values, ShardCost(
-            backend=self.name, states=n, macs=macs, layer_cycles=layer_cycles,
-            shards=self.shards, shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=critical, merge_cycles=merge,
-            critical_shard_index=_argmax(shard_cycles),
-            merge_hops=merge_hops, fill_drain_cycles=fill_drain,
-            noc=self.noc,
-        )
+        return plan, sizes

@@ -297,6 +297,28 @@ class TestWeightBusFaults:
         # The rollback restored the checksum-good snapshot.
         assert agent.backend.weight_checksum() != before
 
+    def test_failover_layout_is_a_fresh_download(self):
+        """A flip still open when a layer failover re-slices the weights
+        went with the dropped layout: the next publish adopts the new
+        layout as the good snapshot and closes the flip as recovered."""
+        backend = ShardedBackend(make_net(), shards=4, shard="layer")
+        agent = make_agent(backend, sync_every=2)
+        states = np.zeros((2, 1, SIDE, SIDE))
+        plan = FaultPlan(seed=1, sram_flip_rate=1.0, shard_crashes=((1, 1),))
+        with chaos(plan) as inj:
+            agent.weight_bus.publish()  # captures good, injects a flip
+            assert not inj.events[0].detected
+            inj.note_step()
+            backend.forward_batch(states)  # crash: re-slice over 3 arrays
+            agent.weight_bus.publish()  # no rollback across layouts
+            flip = inj.events[0]
+            assert flip.kind == "sram.flip"
+            assert flip.detected and flip.recovered
+            assert "failover" in flip.detail
+            assert len(backend.weight_buffers()) == len(
+                agent.weight_bus._good_buffers
+            )
+
     def test_publish_drop_caught_by_staleness_watchdog(self):
         agent = self._agent(sync_every=2)
         with chaos(FaultPlan(seed=1, publish_drop_rate=1.0)) as inj:
@@ -509,9 +531,11 @@ class TestVecEnvFaults:
 
 
 class TestFleetChaosRun:
-    def _run(self, plan=None, num_envs=4):
+    def _run(self, plan=None, num_envs=4, **backend_kwargs):
         agent = make_agent(
-            ShardedBackend(make_net(), shards=4, shard="sample"),
+            ShardedBackend(
+                make_net(), shards=4, **{"shard": "sample", **backend_kwargs}
+            ),
             sync_every=4,
         )
         scheduler = FleetScheduler(
@@ -548,6 +572,23 @@ class TestFleetChaosRun:
         assert any(
             e["kind"] == "shard.crash" for e in report.fault_events
         )
+
+    def test_layer_crash_failover_under_default_chaos_completes(self):
+        """A layer-sharding failover re-slices every weight over the
+        survivors; the weight bus must take the re-broadcast as a fresh
+        download instead of rolling back across layouts (which used to
+        die broadcasting a 4-array snapshot into 3-array buffers)."""
+        plan = FaultPlan(
+            seed=0, shard_crashes=((10, 1),), **DEFAULT_CHAOS_RATES
+        )
+        report = self._run(plan, shard="layer", noc="mesh")
+        assert report.total_env_steps == 2 * (20 + 5) * 4
+        assert report.rounds[-1].active_shards == 3
+        assert 0.0 < report.availability < 1.0
+        crash = next(e for e in report.fault_events if e["kind"] == "shard.crash")
+        assert crash["detected"] and crash["recovered"]
+        # Upsets after the failover are checked against the new layout.
+        assert any(e["kind"] == "sram.flip" for e in report.fault_events)
 
     def test_fault_free_run_reports_trivial_metrics(self):
         report = self._run()

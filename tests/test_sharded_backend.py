@@ -10,6 +10,10 @@ Contracts under test:
 * ``ShardCost`` separates work (summed layer cycles) from wall-clock
   (critical path = slowest array + merge traffic), and merged records
   accumulate critical paths serially;
+* the ``sample`` / ``pipeline`` price equals the executing reference
+  (``tests/sharded_reference.py``) field for field — forward and
+  training, with arrays killed and chaos stretching the schedule —
+  over policy x K x NoC x batch x survivor set (hypothesis);
 * sample sharding at K=4 serves the fleet observation batch in
   <= 0.3x the single-array cycle budget (the multi-array payoff);
 * the ``WeightBus`` flips the serving snapshot every ``sync_every``
@@ -20,6 +24,7 @@ Contracts under test:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backend import (
     BACKENDS,
@@ -31,18 +36,26 @@ from repro.backend import (
     make_backend,
     merge_step_costs,
 )
+from repro.faults import FaultPlan, chaos
 from repro.fleet import FleetScheduler, VecNavigationEnv
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
 from repro.nn.network import Network
 from repro.obs import MetricsRegistry, observed
 from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
+from sharded_reference import reference_forward, reference_train_cost
 
 SIDE = 16
 
 
 def make_net(seed: int = 0) -> Network:
     return build_network(scaled_drone_net_spec(input_side=SIDE), seed=seed)
+
+
+#: Read-only network shared by the property tests (backends never
+#: write the float weights they serve).
+NET = make_net()
+LAST_PARAM = max(i for i, _layer in NET.parametric_layers())
 
 
 @pytest.fixture(scope="module")
@@ -682,6 +695,43 @@ class TestModelParallelTraining:
         # Pipelined training beats the naive serial sum of its stages.
         assert tc.critical_path_cycles < sum(tc.shard_cycles)
 
+    @pytest.mark.parametrize(
+        "policy,shards,noc,batch,frozen_prefix,expected",
+        [
+            ("sample", 4, "flat", 16, False,
+             (519608, 42207, 42207, 0, 1909604, 1709568)),
+            ("sample", 8, "ring", 33, True,
+             (187375, 336, 2640, 0, 1235947, 1185888)),
+            ("sample", 3, "mesh", 7, False,
+             (366218, 5277, 42207, 0, 852207, 747936)),
+            ("pipeline", 4, "flat", 16, False,
+             (700200, 20480, 20480, 20446, 2085200, 1709568)),
+            ("pipeline", 8, "ring", 33, False,
+             (674479, 19010, 152050, 42801, 4300725, 3525984)),
+            ("pipeline", 3, "mesh", 33, True,
+             (448587, 600, 4800, 12651, 1262547, 1185888)),
+            ("pipeline", 8, "ring", 33, True,
+             (192306, 1011, 8058, 14482, 1262547, 1185888)),
+            ("pipeline", 6, "mesh", 7, False,
+             (272652, 3223, 25781, 83957, 912275, 747936)),
+        ],
+    )
+    def test_train_cost_pinned(
+        self, policy, shards, noc, batch, frozen_prefix, expected
+    ):
+        """Pinned training-step bills — (critical, merge, merge hops,
+        fill/drain, summed per-array cycles, MACs): pricing the
+        schedule may not move one cycle of them."""
+        backend = ShardedBackend(NET, shards=shards, shard=policy, noc=noc)
+        cost = backend.train_cost(
+            batch, (1, SIDE, SIDE),
+            first_trainable=LAST_PARAM if frozen_prefix else 0,
+        )
+        assert (
+            cost.critical_path_cycles, cost.merge_cycles, cost.merge_hops,
+            cost.fill_drain_cycles, sum(cost.shard_cycles), cost.macs,
+        ) == expected
+
     def test_train_cost_merge_survives_accumulation(self):
         """The new ShardCost fields flow through merge_step_costs."""
         a = ShardCost(
@@ -698,6 +748,116 @@ class TestModelParallelTraining:
         assert merged.merge_hops == 60
         assert merged.fill_drain_cycles == 8
         assert merged.noc == "ring"
+
+
+class TestPlanThenPrice:
+    """One datapath forward plus a closed-form price stands in for the
+    executed chunk / stage schedule — exactly, fault draws included."""
+
+    @staticmethod
+    def _run(policy, shards, noc, chunk, killed, stretch, work):
+        """``work(backend)`` on a fresh backend under a chaos plan that
+        kills ``killed`` at the first step; returns (result, event log)."""
+        backend = ShardedBackend(
+            NET, shards=shards, shard=policy, noc=noc, pipeline_chunk=chunk
+        )
+        rate = 0.3 if stretch else 0.0
+        plan = FaultPlan(
+            seed=11,
+            shard_crashes=tuple((1, k) for k in sorted(killed)),
+            shard_transient_rate=rate,
+            shard_straggler_rate=rate,
+        )
+        with chaos(plan) as inj:
+            inj.note_step()
+            result = work(backend)
+        return result, inj.event_log()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_price_equals_executed_schedule(self, data):
+        policy = data.draw(st.sampled_from(["sample", "pipeline"]))
+        shards = data.draw(st.integers(1, 8))
+        noc = data.draw(st.sampled_from(["flat", "ring", "mesh"]))
+        batch = data.draw(st.integers(1, 20))  # batch < K included
+        killed = data.draw(
+            st.sets(st.integers(0, shards - 1), max_size=shards - 1)
+        )
+        chunk = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+        stretch = data.draw(st.booleans())
+        first_trainable = data.draw(st.sampled_from([0, LAST_PARAM]))
+        states = np.random.default_rng(batch + 31 * shards).uniform(
+            0, 1, size=(batch, 1, SIDE, SIDE)
+        )
+        config = (policy, shards, noc, chunk, killed, stretch)
+
+        (forward, train), log = self._run(*config, lambda b: (
+            b.forward_batch(states),
+            b.train_cost(batch, (1, SIDE, SIDE), first_trainable),
+        ))
+        (ref_forward, ref_train), ref_log = self._run(*config, lambda b: (
+            reference_forward(b, states),
+            reference_train_cost(b, batch, (1, SIDE, SIDE), first_trainable),
+        ))
+        (q, cost), (ref_q, ref_cost) = forward, ref_forward
+        # Every ShardCost field, and the fault ledger, match the
+        # executed schedule.
+        assert cost == ref_cost
+        assert train == ref_train
+        assert log == ref_log
+        # Numerics: bitwise the single-array datapath.
+        single_q, _ = SystolicBackend(NET).forward_batch(states)
+        assert q.dtype == single_q.dtype and q.tobytes() == single_q.tobytes()
+        assert q.tobytes() == ref_q.tobytes()
+        # No schedule beats perfect division of its work.
+        survivors = shards - len(killed)
+        for c in (cost, train):
+            assert c.critical_path_cycles >= -(-c.total_cycles // survivors)
+            if noc == "flat":
+                assert c.merge_cycles == c.merge_hops
+
+    @pytest.mark.parametrize("policy", ["sample", "pipeline"])
+    def test_spans_price_each_piece_and_time_one_forward(self, policy):
+        """One ``shard.forward`` span per chunk (per stage x chunk under
+        pipeline) with the executed schedule's args and cycles; only
+        the first carries host time — the one forward that ran."""
+        states = np.random.default_rng(4).uniform(0, 1, size=(16, 1, SIDE, SIDE))
+        spans = {}
+        for label, forward in (
+            ("priced", lambda b: b.forward_batch(states)),
+            ("executed", lambda b: reference_forward(b, states)),
+        ):
+            backend = ShardedBackend(NET, shards=4, shard=policy, noc="ring")
+            with observed(registry=MetricsRegistry()) as (tracer, _):
+                forward(backend)
+            spans[label] = [s for s in tracer.spans if s.name == "shard.forward"]
+        assert [(s.args, s.cycles) for s in spans["priced"]] == [
+            (s.args, s.cycles) for s in spans["executed"]
+        ]
+        assert len(spans["priced"]) > 1
+        assert all(s.duration_ns == 0 for s in spans["priced"][1:])
+
+    def test_steady_state_forward_reuses_the_price(self, rng):
+        """The price is memoised: after the first forward every repeat
+        is one hit on the ``sharded_price`` table, and the whole-network
+        oracle it is built on is not asked again."""
+        from repro.parallel import clear_memo_caches, memo_stats
+
+        clear_memo_caches()
+        backend = ShardedBackend(NET, shards=8, shard="pipeline", noc="ring")
+        states = rng.uniform(0, 1, size=(32, 1, SIDE, SIDE))
+        _, first = backend.forward_batch(states)
+        before = memo_stats()
+        for _ in range(3):
+            assert backend.forward_batch(states)[1] == first
+        after = memo_stats()
+        assert after["sharded_price"]["hits"] == before["sharded_price"]["hits"] + 3
+        assert after["sharded_price"]["misses"] == 1
+        training = "network_training_step_cost"
+        assert after[training] == before[training]
+        # Callers own their record: mutating it leaves the memo intact.
+        first.layer_cycles.clear()
+        assert backend.forward_batch(states)[1].layer_cycles
 
 
 class TestStalenessRegression:
