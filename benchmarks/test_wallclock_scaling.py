@@ -6,12 +6,10 @@ properties of the accounting that every sharded forward and train step
 pays for:
 
 * **Cost-oracle memoisation** — hit/miss counters of the closed-form
-  cycle oracles over a forward/train loop, read back through the
-  ``repro.obs`` metrics registry.  The floor of 0.9 applies to the
-  steady state — every lookup after the first (cold) iteration — not
-  to the cold-start-inclusive overall rate, which also counts the
-  fixed cost of filling the tables and so falls whenever an
-  iteration needs fewer lookups.
+  cycle oracles over a steady-state forward/train loop, read back
+  through the ``repro.obs`` metrics registry; the overall hit rate
+  must reach the acceptance floor of 0.9.  The hit rate of every
+  lookup after the first (cold) iteration must reach it too.
 * **Accumulator linearity** — the :class:`StepCostAccumulator`
   add+peek loop at N and 10N records; the time ratio must stay
   near-linear (the O(K²) list-merge it replaced would blow up 100x).
@@ -130,4 +128,5 @@ def test_wallclock_scaling(benchmark, results_dir):
     )
 
     assert memo["hit_rate_steady"] >= MEMO_HIT_RATE_FLOOR
+    assert memo["hit_rate_overall"] >= MEMO_HIT_RATE_FLOOR
     assert acc["ratio"] <= ACCUMULATOR_RATIO_CEILING, acc

@@ -464,9 +464,6 @@ class ShardedBackend(ExecutionBackend):
         #: Lazily built float fallback for all-arrays-lost degradation.
         self._fallback = None
         self._chaos_forward = 0
-        #: Pipeline stage layouts, keyed on (alive arrays, state shape,
-        #: chunk rows, chunk count); cleared on crash failover.
-        self._pipeline_plans: dict[tuple, PipelinePlan] = {}
         #: Geometry signature of the network (its layer stack never
         #: changes under a backend), part of every price's memo key.
         self._geometry = _network_cost_signature(network, 0)
@@ -474,9 +471,8 @@ class ShardedBackend(ExecutionBackend):
             # Sample and pipeline policies: every array downloads the
             # full model.  All K copies are byte-identical, so one
             # simulated child stands in for every array (the simulation
-            # quantises once per sync, not K times) — the K entries are
-            # the same object, indexed per-array for the forward loop.
-            self.children = [SystolicBackend(network, **child_kwargs)] * shards
+            # quantises once per sync, not K times).
+            self.children = [SystolicBackend(network, **child_kwargs)]
             self._plan = None
         else:
             self._plan = self._build_layer_plan(network, shards)
@@ -614,10 +610,6 @@ class ShardedBackend(ExecutionBackend):
                 inj.mark_recovered(degraded, detail="serving from numpy fallback")
             elif self.shard == "layer":
                 self._rebuild_layer_shards(alive)
-            elif self.shard == "pipeline":
-                # Stage plans are keyed on the surviving arrays — drop
-                # them so the next forward re-partitions the stages.
-                self._pipeline_plans.clear()
         inj.mark_recovered(
             rec,
             detail=(
@@ -762,24 +754,34 @@ class ShardedBackend(ExecutionBackend):
 
         Prices are memoised in the cost-oracle memo (table
         ``sharded_price``) beside the per-layer oracles they are built
-        on: a steady-state forward pays one counted lookup.
+        on, keyed on the inputs the plan is made from, so the plan is
+        only built on a miss: a steady-state forward pays one counted
+        lookup.  A crash changes ``alive`` and with it the key, so
+        failover re-plans without clearing anything.
         """
         state_shape = tuple(int(v) for v in state_shape)
-        if self.shard == "sample":
-            plan, sizes = None, tuple(_split_sizes(rows, len(alive)))
-            price = self._price_sample
-        else:
-            plan, sizes = self._pipeline_plan(alive, state_shape, rows)
-            price = self._price_pipeline
-        args = (plan, sizes, state_shape, alive, first_trainable)
+        args = (rows, state_shape, alive, first_trainable)
         if not _memo.memo_enabled():
-            return price(*args)
-        key = (self._geometry, self.config, self._noc, self.shard) + args
+            return self._price(*args)
+        key = (
+            self._geometry, self.config, self._noc, self.shard,
+            self.pipeline_chunk,
+        ) + args
         table = _memo.cache("sharded_price")
         priced = table.get(key)
         if priced is _memo._MISS:
-            priced = table.put(key, price(*args))
+            priced = table.put(key, self._price(*args))
         return priced
+
+    def _price(self, rows, state_shape, alive, first_trainable) -> _Priced:
+        """Plan the schedule, then price it with the policy's function."""
+        if self.shard == "sample":
+            sizes = tuple(_split_sizes(rows, len(alive)))
+            return self._price_sample(sizes, state_shape, alive, first_trainable)
+        plan, sizes = self._pipeline_plan(alive, state_shape, rows)
+        return self._price_pipeline(
+            plan, sizes, state_shape, alive, first_trainable
+        )
 
     def _step(self, state_shape, rows: int, first_trainable: int | None):
         """Closed-form cost of one array running the network on ``rows``."""
@@ -791,7 +793,7 @@ class ShardedBackend(ExecutionBackend):
         )
 
     def _price_sample(
-        self, _plan, sizes, state_shape, alive, first_trainable
+        self, sizes, state_shape, alive, first_trainable
     ) -> _Priced:
         """Data parallel: each alive array runs the whole network over
         its :func:`numpy.array_split` chunk, ``sizes`` aligned with
@@ -1144,22 +1146,20 @@ class ShardedBackend(ExecutionBackend):
         state_shape: tuple[int, ...],
         rows: int,
     ) -> tuple[PipelinePlan, tuple[int, ...]]:
-        """The (cached) stage layout over the surviving arrays, and the
+        """The stage layout over the surviving arrays, and the
         micro-batch row counts of a ``rows``-row batch.
 
         Chunks hold ``pipeline_chunk`` rows, or by default
         ``rows // (8 * arrays)`` (at least one).  Stage bounds and
         widths come from the closed-form per-layer cycle oracle at the
         micro-batch size, scored against the actual chunked schedule.
+        Nothing is cached here: the plan is built on a
+        :meth:`_priced` miss and memoised with its price.
         """
         chunk_rows = self.pipeline_chunk or max(1, rows // (8 * len(alive)))
         num_chunks = max(1, -(-rows // chunk_rows))
         # Zero-row chunks never enter the schedule.
         sizes = tuple(size for size in _split_sizes(rows, num_chunks) if size)
-        key = (alive, tuple(int(v) for v in state_shape), chunk_rows, num_chunks)
-        plan = self._pipeline_plans.get(key)
-        if plan is not None:
-            return plan, sizes
         step = network_training_step_cost(
             self.network, state_shape, chunk_rows,
             config=self.config,
@@ -1185,5 +1185,4 @@ class ShardedBackend(ExecutionBackend):
             layer_ranges=tuple(zip(starts, ends)),
             stage_arrays=tuple(stage_arrays),
         )
-        self._pipeline_plans[key] = plan
         return plan, sizes

@@ -85,7 +85,7 @@ def _forward_sample(backend, x):
         if chunk.shape[0] == 0:
             continue  # batch narrower than K: array k idles
         start = time.perf_counter_ns()
-        q_k, cost_k = backend.children[k].forward_batch(chunk)
+        q_k, cost_k = backend.children[0].forward_batch(chunk)
         PROBE.record_span(
             "shard.forward", time.perf_counter_ns() - start,
             cycles=cost_k.total_cycles, shard=k, states=chunk.shape[0],

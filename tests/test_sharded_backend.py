@@ -528,7 +528,8 @@ class TestPipelineSchedule:
             net, shards=2, shard="pipeline", pipeline_chunk=4
         )
         _, cost = backend.forward_batch(states)
-        plan = next(iter(backend._pipeline_plans.values()))
+        plan, sizes = backend._pipeline_plan((0, 1), states.shape[1:], 16)
+        assert sizes == (4, 4, 4, 4)
         assert plan.widths == (1, 1)
         times = [
             [cost.shard_cycles[arrays[0]] // 4] * 4
@@ -552,8 +553,7 @@ class TestPipelineSchedule:
     def test_stage_plan_partitions_model_not_batch(self, rng):
         net = make_net()
         backend = ShardedBackend(net, shards=4, shard="pipeline")
-        backend.forward_batch(rng.uniform(0, 1, size=(8, 1, SIDE, SIDE)))
-        plan = next(iter(backend._pipeline_plans.values()))
+        plan, _sizes = backend._pipeline_plan((0, 1, 2, 3), (1, SIDE, SIDE), 8)
         assert plan.stages >= 2  # never degenerates to data parallelism
         assert sum(plan.widths) == 4
         flat_arrays = [a for arrays in plan.stage_arrays for a in arrays]
