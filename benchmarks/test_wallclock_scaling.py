@@ -7,9 +7,14 @@ pays for:
 
 * **Cost-oracle memoisation** — hit/miss counters of the closed-form
   cycle oracles over a steady-state forward/train loop, read back
-  through the ``repro.obs`` metrics registry; the overall hit rate
-  must reach the acceptance floor of 0.9.  The hit rate of every
-  lookup after the first (cold) iteration must reach it too.
+  through the ``repro.obs`` metrics registry.  The hit rate of every
+  lookup after the first (cold) iteration must reach the acceptance
+  floor of 0.9, and the lookups are gated by count: the first
+  iteration may miss at most 26 times and every later iteration may
+  make at most 9 lookups.  The cold-inclusive overall rate is recorded
+  but not gated: it is a ratio of those two counts, so it *falls*
+  whenever a steady step gets cheaper (fewer lookups against the same
+  cold misses).
 * **Accumulator linearity** — the :class:`StepCostAccumulator`
   add+peek loop at N and 10N records; the time ratio must stay
   near-linear (the O(K²) list-merge it replaced would blow up 100x).
@@ -37,6 +42,12 @@ TIMING_REPEATS = 3
 MEMO_STEPS = 20
 #: Acceptance floor on the steady-state oracle hit rate.
 MEMO_HIT_RATE_FLOOR = 0.9
+#: Ceiling on the first (table-filling) step's misses: 4
+#: ``conv_rowstationary_stats`` + 19 ``fc_tile_stats`` + 2
+#: ``network_training_step_cost`` + 1 ``sharded_price``.
+MEMO_COLD_MISS_CEILING = 26
+#: Ceiling on the oracle lookups of one steady-state step.
+MEMO_STEADY_LOOKUPS_CEILING = 9
 #: Accumulator time ratio bound for a 10x record-count increase
 #: (linear would be ~10x; the old quadratic merge was ~100x).
 ACCUMULATOR_RATIO_CEILING = 40.0
@@ -77,6 +88,7 @@ def test_wallclock_scaling(benchmark, results_dir):
                 backend.forward_batch(states)
                 network_training_step_cost(network, (1, SIDE, SIDE), BATCH)
             warm = publish_memo_metrics()
+        cold_misses = sum(row["misses"] for row in cold.values())
         hits = misses = 0
         for name, row in warm.items():
             before = cold.get(name, {"hits": 0, "misses": 0})
@@ -86,6 +98,7 @@ def test_wallclock_scaling(benchmark, results_dir):
         memo = {
             "hit_rate_overall": gauges["repro_memo_hit_rate_overall"],
             "hit_rate_steady": hits / (hits + misses),
+            "cold_misses": cold_misses,
             "steady_lookups_per_step": (hits + misses) / (MEMO_STEPS - 1),
             "gauges": {
                 k: v for k, v in gauges.items() if k.startswith("repro_memo")
@@ -112,8 +125,11 @@ def test_wallclock_scaling(benchmark, results_dir):
         f"K={SHARDS} sample-sharded forward, batch={BATCH}\n"
         f"cost-oracle memo hit rate: steady state "
         f"{memo['hit_rate_steady']:.3f} (floor {MEMO_HIT_RATE_FLOOR}), "
-        f"overall {memo['hit_rate_overall']:.3f}, "
-        f"{memo['steady_lookups_per_step']:.0f} lookups per step\n"
+        f"overall {memo['hit_rate_overall']:.3f}; "
+        f"{memo['cold_misses']} cold misses (ceiling "
+        f"{MEMO_COLD_MISS_CEILING}), "
+        f"{memo['steady_lookups_per_step']:.0f} lookups per steady step "
+        f"(ceiling {MEMO_STEADY_LOOKUPS_CEILING})\n"
         f"accumulator add+peek: {acc['n']} recs {acc['seconds_n'] * 1e3:.2f} "
         f"ms, {10 * acc['n']} recs {acc['seconds_10n'] * 1e3:.2f} ms "
         f"(ratio {acc['ratio']:.1f}x, ceiling "
@@ -128,5 +144,6 @@ def test_wallclock_scaling(benchmark, results_dir):
     )
 
     assert memo["hit_rate_steady"] >= MEMO_HIT_RATE_FLOOR
-    assert memo["hit_rate_overall"] >= MEMO_HIT_RATE_FLOOR
+    assert memo["cold_misses"] <= MEMO_COLD_MISS_CEILING, memo
+    assert memo["steady_lookups_per_step"] <= MEMO_STEADY_LOOKUPS_CEILING, memo
     assert acc["ratio"] <= ACCUMULATOR_RATIO_CEILING, acc

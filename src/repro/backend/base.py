@@ -426,8 +426,6 @@ class WeightBus:
         update = inj.note_update()
         if self._good_checksum is None:
             self._capture_good()
-        elif self._layout_changed():
-            self._adopt_failover_layout(inj)
         elif self.backend.weight_checksum() != self._good_checksum:
             self._rollback(inj)
         if self._dropped is not None and self.staleness > self.sync_every:
@@ -474,8 +472,6 @@ class WeightBus:
         """
         inj = FAULTS.injector
         plan = inj.plan
-        if self._good_buffers is not None and self._layout_changed():
-            self._adopt_failover_layout(inj)
         good = self.backend.weight_checksum()
         rng = inj.corrupt_rng(self.flips + 1)
         if rng is not None:
@@ -529,30 +525,6 @@ class WeightBus:
                 and not rec.recovered
             ):
                 inj.mark_recovered(rec, detail="checksum rollback on publish")
-
-    def _layout_changed(self) -> bool:
-        """Whether the serving buffers were re-laid-out since the good
-        snapshot — a layer-sharding crash failover re-slices every
-        weight over the survivors, so names and shapes both move."""
-        current = self.backend.weight_buffers()
-        good = self._good_buffers
-        return current.keys() != good.keys() or any(
-            current[name].shape != arr.shape for name, arr in good.items()
-        )
-
-    def _adopt_failover_layout(self, inj) -> None:
-        """A failover re-broadcast is a fresh download, not corruption.
-
-        No rollback can cross layouts; the re-broadcast wrote every
-        survivor's new slice from the live weights, so it becomes the
-        good snapshot.  Upsets still open on the dropped layout went
-        with it: the failover detected and repaired them.
-        """
-        for rec in inj.events:
-            if rec.kind in ("sram.flip", "buffer.corrupt") and not rec.recovered:
-                inj.mark_detected(rec)
-                inj.mark_recovered(rec, detail="layout dropped by shard failover")
-        self._capture_good()
 
     def _capture_good(self) -> None:
         self._good_buffers = self.backend.snapshot_weight_buffers()

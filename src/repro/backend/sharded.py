@@ -1,11 +1,10 @@
 """Multi-array execution backend: K systolic arrays behind one seam.
 
 The ROADMAP's "serves heavy traffic" direction needs more than one
-32x32 array.  :class:`ShardedBackend` composes K child backends
-(default :class:`~repro.backend.systolic_backend.SystolicBackend`s,
-one per simulated array) behind the ordinary
-``forward_batch(states) -> (q_values, cost)`` seam, under three shard
-policies:
+32x32 array.  :class:`ShardedBackend` models K simulated arrays over
+one :class:`~repro.backend.systolic_backend.SystolicBackend` datapath
+behind the ordinary ``forward_batch(states) -> (q_values, cost)``
+seam, under three shard policies:
 
 * ``shard="sample"`` — data parallelism: the observation batch splits
   into K contiguous chunks (:func:`numpy.array_split` semantics, so
@@ -38,24 +37,27 @@ elementwise, so it commutes with the concatenation that merges shard
 outputs.
 
 **Plan, then price.**  Because the numerics cannot tell the schedules
-apart, the ``sample`` and ``pipeline`` policies do not re-execute the
-batch chunk by chunk or stage by stage.  ``forward_batch`` runs *one*
-datapath forward over the whole batch on the shared child array and
-prices the schedule in closed form: one pure function per policy maps
+apart, no policy re-executes the batch chunk by chunk, stage by stage
+or slice by slice.  ``forward_batch`` runs *one* forward over the
+whole batch on that datapath — one serving buffer, the paper's single
+quantised SRAM copy of the weights — and prices the schedule in
+closed form: one pure function per policy maps
 ``(plan, chunk sizes, state shape, survivors, NoC)`` to a
-:class:`~repro.backend.base.ShardCost`, built on the memoised
-:func:`~repro.systolic.training.network_training_step_cost` oracle
-(whose per-layer cycles equal the executed ones exactly).  The same
-function prices ``train_cost`` — forward + backward plus the gradient
-traffic instead of the Q-row gather — and its fault-free result is
-memoised beside the oracles it is built on, so a steady-state forward
-costs one single-array forward plus one memo lookup.  Chaos retries
-and stragglers then stretch the priced per-array cycles.  The
-executing schedules live on as a test-only reference
-(``tests/sharded_reference.py``) that the priced costs are checked
-against field by field — the role ``fidelity="pe"`` plays for the
-kernels.  The ``layer`` policy still executes per slice: its
-per-array serving buffers are the chaos fault surface.
+:class:`~repro.backend.base.ShardCost`, built on the closed-form
+per-layer cycle oracles of :mod:`repro.systolic.training` (whose
+cycles equal the executed ones exactly).  The plan itself is a pure
+function of the surviving arrays: chunk sizes (sample), the stage
+layout (pipeline), or each parametric layer's ``(array, lo, hi)``
+output slices (layer), so a crash failover re-plans without touching
+the weights.  The same function prices ``train_cost`` — forward +
+backward plus the gradient traffic instead of the Q-row gather — and
+its fault-free result is memoised beside the oracles it is built on,
+so a steady-state forward costs one single-array forward plus one memo
+lookup.  Chaos retries and stragglers then stretch the priced
+per-array cycles.  The executing schedules live on as a test-only
+reference (``tests/sharded_reference.py``) that the priced costs are
+checked against field by field — the role ``fidelity="pe"`` plays for
+the kernels.
 
 Costs come back as a :class:`~repro.backend.base.ShardCost`:
 ``layer_cycles`` stay *work* (summed over arrays — note each array
@@ -87,9 +89,10 @@ from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.network import Network
 from repro.parallel import memo as _memo
 from repro.systolic.array import ArrayConfig
-from repro.systolic.functional import FunctionalSystolicArray
 from repro.systolic.noc import NocModel
 from repro.systolic.training import (
+    _conv_layer_cost,
+    _fc_layer_cost,
     _network_cost_signature,
     network_training_step_cost,
 )
@@ -105,36 +108,6 @@ def _argmax(cycles: list[int]) -> int:
     if not cycles:
         return 0
     return max(range(len(cycles)), key=cycles.__getitem__)
-
-
-def _slice_layer(layer, lo: int, hi: int):
-    """A copy of ``layer`` holding output slice ``[lo:hi)`` of its weights.
-
-    Conv2D slices the filter axis, Dense the output-feature axis; the
-    input dimension stays full because layer sharding broadcasts the
-    whole activation to every array.  Weight *values* are placeholders
-    until the first :meth:`ShardedBackend.sync` copies the live slice
-    in (the model-download broadcast).
-    """
-    if isinstance(layer, Conv2D):
-        sliced = Conv2D(
-            layer.in_channels, hi - lo, layer.kernel_size,
-            stride=layer.stride, pad=layer.pad, name=layer.name,
-        )
-    elif isinstance(layer, Dense):
-        sliced = Dense(layer.in_features, hi - lo, name=layer.name)
-    else:  # pragma: no cover - guarded by the caller
-        raise TypeError(f"cannot shard {type(layer).__name__}")
-    return sliced
-
-
-def _copy_slice(src, dst, lo: int, hi: int) -> None:
-    """Copy output slice ``[lo:hi)`` of ``src``'s weights into ``dst``."""
-    if isinstance(src, Conv2D):
-        dst.weight.value[...] = src.weight.value[lo:hi]
-    else:
-        dst.weight.value[...] = src.weight.value[:, lo:hi]
-    dst.bias.value[...] = src.bias.value[lo:hi]
 
 
 # ----------------------------------------------------------------------
@@ -312,9 +285,10 @@ def _row_elements(network: Network, state_shape: tuple[int, ...]) -> list[int]:
 class _Priced:
     """A fault-free schedule price and the spans that narrate it.
 
-    ``spans`` holds one ``(cycles, span args)`` pair per executed piece
-    of the schedule — a sample chunk, or a pipeline (stage, micro-batch)
-    — in the order the executing schedule would have emitted them.
+    ``spans`` holds one ``(cycles, span args)`` pair per piece of the
+    schedule — a sample chunk, a pipeline (stage, micro-batch) or a
+    layer slice — in the order the executing schedule would have
+    emitted them.
     """
 
     cost: ShardCost
@@ -377,7 +351,7 @@ class _Bill:
 
 @register_backend("sharded")
 class ShardedBackend(ExecutionBackend):
-    """K simulated systolic arrays composed behind one backend.
+    """K simulated systolic arrays priced over one datapath.
 
     Parameters
     ----------
@@ -390,7 +364,7 @@ class ShardedBackend(ExecutionBackend):
         filters / FC output neurons) or ``"pipeline"`` (stage the
         layers).
     config / fidelity / quantized / weight_format / activation_format:
-        Passed through to every child :class:`SystolicBackend` — each
+        Passed through to the :class:`SystolicBackend` datapath — every
         array runs the same datapath the single-array backend models.
     noc:
         Inter-array interconnect topology — one of
@@ -409,13 +383,13 @@ class ShardedBackend(ExecutionBackend):
     -----
     With the probe active, every forward emits one ``shard.forward``
     span per piece of the schedule — per non-empty sample chunk
-    (``shard``, ``states``) or per pipeline (stage, micro-batch)
-    (``shard``, ``stage``, ``states``) — carrying that piece's priced
-    ``cycles``.  Under ``sample`` / ``pipeline`` the host runs a single
-    datapath forward for the whole batch; its measured wall time rides
-    on the first span and the rest are zero-length, so
+    (``shard``, ``states``), per pipeline (stage, micro-batch)
+    (``shard``, ``stage``, ``states``) or per layer slice (``shard``,
+    ``layer``) — carrying that piece's priced ``cycles``.  The host
+    runs a single datapath forward for the whole batch; its measured
+    wall time rides on the first span and the rest are zero-length, so
     :meth:`~repro.obs.trace.Tracer.summary` sums to the host time
-    actually spent.  ``layer`` spans time each executed slice.
+    actually spent.
     """
 
     def __init__(
@@ -442,9 +416,6 @@ class ShardedBackend(ExecutionBackend):
         self.network = network
         self.shards = shards
         self.shard = shard
-        self.fidelity = fidelity
-        self.quantized = quantized
-        self.activation_format = activation_format
         self.noc = noc
         self.pipeline_chunk = pipeline_chunk
         # Validates the topology name; node ids are *original* array
@@ -453,122 +424,60 @@ class ShardedBackend(ExecutionBackend):
             topology=noc, nodes=shards,
             word_bits=activation_format.total_bits,
         )
-        child_kwargs = dict(
-            config=config, fidelity=fidelity, quantized=quantized,
+        # One serving buffer for every policy: the arrays' full copies
+        # (sample, pipeline) are byte-identical, and their slices
+        # (layer) are, code for code, slices of the full quantised
+        # weights, so one simulated datapath stands in for every array
+        # — the simulation quantises once per sync, not K times, and a
+        # crash failover never changes the buffer layout.
+        self.datapath = SystolicBackend(
+            network, config=config, fidelity=fidelity, quantized=quantized,
             weight_format=weight_format, activation_format=activation_format,
         )
-        self._child_kwargs = child_kwargs
-        #: Child position -> original array index (identity until a
-        #: crash failover rebuilds the layer plan over the survivors).
-        self._position_to_shard = list(range(shards))
+        self.config = self.datapath.config
         #: Lazily built float fallback for all-arrays-lost degradation.
         self._fallback = None
         self._chaos_forward = 0
         #: Geometry signature of the network (its layer stack never
         #: changes under a backend), part of every price's memo key.
         self._geometry = _network_cost_signature(network, 0)
-        if shard != "layer":
-            # Sample and pipeline policies: every array downloads the
-            # full model.  All K copies are byte-identical, so one
-            # simulated child stands in for every array (the simulation
-            # quantises once per sync, not K times).
-            self.children = [SystolicBackend(network, **child_kwargs)]
-            self._plan = None
-        else:
-            self._plan = self._build_layer_plan(network, shards)
-            self.children = [
-                SystolicBackend(net, **child_kwargs)
-                for net in self._shard_networks
-            ]
-            self.sync()
-        self.config = self.children[0].config
-
-    # ------------------------------------------------------------------
-    def _build_layer_plan(self, network: Network, shards: int):
-        """Per-layer shard assignments for the ``layer`` policy.
-
-        Returns ``{layer_index: [(array, sliced_layer, lo, hi), ...]}``
-        covering every parametric layer, and stores one sliced
-        sub-network per array (arrays left idle by a layer narrower
-        than K simply get no slice of it).
-        """
-        plan: dict[int, list[tuple[int, object, int, int]]] = {}
-        per_array_layers: list[list] = [[] for _ in range(shards)]
-        for index, layer in network.parametric_layers():
-            width = (
-                layer.out_channels
-                if isinstance(layer, Conv2D)
-                else layer.out_features
-            )
-            bounds = np.linspace(0, width, shards + 1).astype(int)
-            assignments = []
-            for k in range(shards):
-                lo, hi = int(bounds[k]), int(bounds[k + 1])
-                if hi <= lo:
-                    continue  # layer narrower than K: array k sits idle
-                sliced = _slice_layer(layer, lo, hi)
-                assignments.append((k, sliced, lo, hi))
-                per_array_layers[k].append(sliced)
-            plan[index] = assignments
-        self._shard_networks = [
-            Network(layers or [Dense(1, 1, name=f"idle{k}")],
-                    name=f"{network.name}.shard{k}")
-            for k, layers in enumerate(per_array_layers)
-        ]
-        return plan
 
     def sync(self) -> None:
         """Broadcast the live float weights to every array's datapath.
 
-        Sample and pipeline sharding re-quantise the full weight set
-        once — the per-array copies are byte-identical, so the children
-        share the quantised operands.  Layer sharding copies each
-        array's slice out of the live network first (the sliced
-        sub-networks own their parameters), then re-quantises it.
+        Every array reads its copy or slice of the weights from the one
+        serving buffer, so the broadcast re-quantises the full weight
+        set once.
         """
-        if self.shard != "layer":
-            self.children[0].sync()
-            return
-        for index, assignments in self._plan.items():
-            layer = self.network.layers[index]
-            for _k, sliced, lo, hi in assignments:
-                _copy_slice(layer, sliced, lo, hi)
-        for child in self.children:
-            child.sync()
+        self.datapath.sync()
 
     # ------------------------------------------------------------------
     # Serving-buffer seam (fault injection / detection)
     # ------------------------------------------------------------------
+    # The numeric format attributes are the datapath's: the agent's
+    # Q-value guard reads ``quantized`` / ``activation_format`` to check
+    # for rail-pinned outputs on the quantised path.
+    @property
+    def quantized(self) -> bool:
+        return self.datapath.quantized
+
     @property
     def weight_format(self):
-        return self.children[0].weight_format
+        return self.datapath.weight_format
+
+    @property
+    def activation_format(self):
+        return self.datapath.activation_format
 
     def weight_buffers(self) -> dict[str, np.ndarray]:
-        """The children's serving buffers (prefixed per array for layer
-        sharding; sample/pipeline arrays share one physical copy)."""
-        if self.shard != "layer":
-            return self.children[0].weight_buffers()
-        merged: dict[str, np.ndarray] = {}
-        for k, child in enumerate(self.children):
-            for name, arr in child.weight_buffers().items():
-                merged[f"shard{k}/{name}"] = arr
-        return merged
+        """The one serving buffer every array reads its weights from."""
+        return self.datapath.weight_buffers()
 
     def corrupt_weight_bit(self, name: str, index: int, bit: int) -> None:
-        if self.shard != "layer":
-            self.children[0].corrupt_weight_bit(name, index, bit)
-            return
-        prefix, _, rest = name.partition("/")
-        self.children[int(prefix[len("shard"):])].corrupt_weight_bit(
-            rest, index, bit
-        )
+        self.datapath.corrupt_weight_bit(name, index, bit)
 
     def _refresh_weight_values(self) -> None:
-        if self.shard != "layer":
-            self.children[0]._refresh_weight_values()
-            return
-        for child in self.children:
-            child._refresh_weight_values()
+        self.datapath._refresh_weight_values()
 
     # ------------------------------------------------------------------
     # Fault handling (FAULTS seam active only)
@@ -589,10 +498,11 @@ class ShardedBackend(ExecutionBackend):
         Detection is the per-shard health check — the scheduler notices
         the array stopped answering after ``health_check_timeout_cycles``
         (charged as recovery overhead).  Recovery remaps the dead
-        array's work onto the survivors: sample sharding just re-splits
-        the batch; layer sharding rebuilds the slice plan over the
-        surviving arrays and re-broadcasts the weights.  With no
-        survivors the backend degrades to the float numpy fallback.
+        array's work onto the survivors: every plan is a function of
+        the surviving arrays, so the next price re-splits the batch,
+        re-slices the layers or re-stages the pipeline over them, and
+        the serving buffer is left as it is.  With no survivors the
+        backend degrades to the float numpy fallback.
         """
         inj.kill(k)
         rec = inj.record("shard.crash", target=f"shard{k}", detail="scheduled")
@@ -608,8 +518,6 @@ class ShardedBackend(ExecutionBackend):
                 )
                 inj.mark_detected(degraded)
                 inj.mark_recovered(degraded, detail="serving from numpy fallback")
-            elif self.shard == "layer":
-                self._rebuild_layer_shards(alive)
         inj.mark_recovered(
             rec,
             detail=(
@@ -618,16 +526,6 @@ class ShardedBackend(ExecutionBackend):
                 else f"failover onto {len(alive)} surviving arrays"
             ),
         )
-
-    def _rebuild_layer_shards(self, alive: list[int]) -> None:
-        """Re-slice every layer across the surviving arrays."""
-        self._plan = self._build_layer_plan(self.network, len(alive))
-        self.children = [
-            SystolicBackend(net, **self._child_kwargs)
-            for net in self._shard_networks
-        ]
-        self._position_to_shard = list(alive)
-        self.sync()
 
     def _forward_degraded(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
         """All arrays lost: float inference on the host, zero array cost."""
@@ -701,16 +599,15 @@ class ShardedBackend(ExecutionBackend):
           weight copy, and the per-array weight gradients all-reduce to
           the root array over the NoC.
         * ``layer`` — model parallel: each array trains only its weight
-          slice, so dW stays local (no full-gradient all-reduce — the
-          old silent fall-back to the data-parallel split is gone);
+          slice, so dW stays local (no full-gradient all-reduce);
           the backward pays a partial-dX reduction per layer instead.
         * ``pipeline`` — pipelined: micro-batches stream forward and
           backward through the stages; fill/drain bubbles are charged
           explicitly and boundary activations (and their gradients)
           cross the NoC.
 
-        Sample and pipeline are priced by the same function as their
-        forward (:meth:`_priced`), at training depth.
+        Every policy is priced by the same function as its forward
+        (:meth:`_priced`), at training depth.
         """
         alive = (
             [k for k in range(self.shards) if k not in FAULTS.injector.dead_shards]
@@ -725,15 +622,13 @@ class ShardedBackend(ExecutionBackend):
                 shards=self.shards, shard_cycles=(0,) * self.shards,
                 noc=self.noc,
             )
-        if self.shard == "layer":
-            return self._train_cost_layer(batch_size, state_shape, first_trainable)
         cost = self._priced(
             batch_size, state_shape, tuple(alive), first_trainable
         ).cost
         return replace(cost, layer_cycles=dict(cost.layer_cycles))
 
     # ------------------------------------------------------------------
-    # Sample and pipeline policies: one forward, a priced schedule
+    # One forward, a priced schedule
     # ------------------------------------------------------------------
     def _priced(
         self,
@@ -745,9 +640,10 @@ class ShardedBackend(ExecutionBackend):
         """The fault-free price of a ``rows``-row schedule.
 
         The plan — chunk sizes over the survivors, plus the stage layout
-        under ``pipeline`` — is fixed first; the policy's price is then a
-        pure function of ``(plan, chunk sizes, state shape, survivors)``
-        and the backend's geometry, array config and NoC.
+        under ``pipeline`` or the per-layer output slices under
+        ``layer`` — is fixed first; the policy's price is then a pure
+        function of ``(plan, chunk sizes, state shape, survivors)`` and
+        the backend's geometry, array config and NoC.
         ``first_trainable=None`` prices inference (forward GEMMs plus
         the Q-row gather); an index prices a training step from that
         layer on (forward + backward plus the gradient traffic).
@@ -778,6 +674,8 @@ class ShardedBackend(ExecutionBackend):
         if self.shard == "sample":
             sizes = tuple(_split_sizes(rows, len(alive)))
             return self._price_sample(sizes, state_shape, alive, first_trainable)
+        if self.shard == "layer":
+            return self._price_layer(rows, state_shape, alive, first_trainable)
         plan, sizes = self._pipeline_plan(alive, state_shape, rows)
         return self._price_pipeline(
             plan, sizes, state_shape, alive, first_trainable
@@ -902,133 +800,141 @@ class ShardedBackend(ExecutionBackend):
                 added += extra
         return stretched, added
 
-    def _train_cost_layer(
-        self,
-        batch_size: int,
-        state_shape: tuple[int, ...],
-        first_trainable: int,
-    ) -> ShardCost:
-        """Model-parallel training for the ``layer`` policy.
+    def _layer_plan(
+        self, alive: tuple[int, ...]
+    ) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """Output slices of every parametric layer over the survivors.
 
-        Each array runs the forward + backward GEMMs of *its output
-        slice only* — dW is an outer product over the slice's rows, so
-        weight gradients never leave the array that applies them.  What
-        crosses the NoC instead:
-
-        * the forward broadcast/gather of each layer's activations
-          (the same charges sharded inference pays),
-        * per trainable layer, a partial-dX reduction: every non-hub
-          array ships its partial input-gradient (full input shape) to
-          the layer's hub, which sums them and forwards the result to
-          the arrays of the previous parametric layer — skipped when no
-          trainable layer sits below, exactly where backprop stops.
-
-        Cycles come from the same closed-form per-layer oracle the
-        data-parallel path uses, evaluated on each slice's width, so
-        the layer-sliced bill is consistent with the whole-layer one.
+        Maps each parametric layer's index in the built stack to its
+        ``(array, lo, hi)`` slices — conv filters / FC output features
+        ``[lo:hi)`` computed on original array ``array`` — from a
+        :func:`numpy.linspace` split over the alive arrays, in order.
+        An array whose slice of a layer narrower than the survivors
+        would be empty is left out of that layer: it sits idle and
+        receives no broadcast.
         """
-        from repro.systolic.training import _conv_layer_cost, _fc_layer_cost
+        plan = {}
+        for index, layer in self.network.parametric_layers():
+            width = (
+                layer.out_channels
+                if isinstance(layer, Conv2D)
+                else layer.out_features
+            )
+            bounds = np.linspace(0, width, len(alive) + 1).astype(int)
+            plan[index] = tuple(
+                (k, int(lo), int(hi))
+                for k, lo, hi in zip(alive, bounds, bounds[1:])
+                if hi > lo
+            )
+        return plan
 
-        c, h, w = (int(v) for v in state_shape)
+    def _price_layer(self, rows, state_shape, alive, first_trainable) -> _Priced:
+        """Tensor parallel: every alive array computes its output slice
+        (:meth:`_layer_plan`) of each parametric layer from the full
+        input activation.
+
+        Layers run in sequence (true data dependency); within a layer
+        the slices run in parallel, so each layer adds its slowest
+        slice to the critical path and the schedule has no fill/drain.
+        A slice costs what the closed-form per-layer oracle charges at
+        the slice's width.  What crosses the NoC:
+
+        * after each parametric layer, the slices gather to the layer's
+          hub — its first array — into the full activation, on which
+          elementwise / pooling layers run;
+        * before each parametric layer but the first (whose input comes
+          from the host), the activation it consumes — post-pooling, so
+          the tensor that actually moves — is broadcast from the
+          previous hub to every *other* array computing it, one full
+          activation per receiving link;
+        * in training, per trainable layer with a trainable parametric
+          layer below it, a partial-dX reduction: every array computing
+          the layer ships its partial input gradient (full input shape)
+          to the hub, which forwards the sum to the arrays of the
+          previous parametric layer.  dW is an outer product over the
+          slice's own rows, so weight gradients never leave the array
+          that applies them.
+        """
+        c, h, w = state_shape
+        plan = self._layer_plan(alive)
         bill = _Bill(self)
+        spans = []
         critical = 0
-        hub_orig: int | None = None  # array holding the merged activation
-        prev_param: tuple[int, list[int]] | None = None
+        hub: int | None = None  # array holding the merged activation
+        below: list[int] | None = None  # arrays of a trainable layer below
         for index, layer in enumerate(self.network.layers):
-            assignments = self._plan.get(index)
-            if not assignments:
+            slices = plan.get(index)
+            if slices is None:
                 if isinstance(layer, MaxPool2D):
                     h, w = layer.output_shape(h, w)
                 continue
-            trainable = index >= first_trainable
-            consumers = [self._position_to_shard[k] for k, *_rest in assignments]
+            trainable = first_trainable is not None and index >= first_trainable
+            arrays = [k for k, _lo, _hi in slices]
             is_conv = isinstance(layer, Conv2D)
-            act_in = batch_size * (c * h * w if is_conv else layer.in_features)
-            if hub_orig is not None:
-                # Forward: broadcast the merged activation to the other
-                # arrays computing this layer (inference's charge).
-                for dst in consumers:
-                    bill.ship(act_in, hub_orig, dst)
             if is_conv:
-                oh = (h + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
-                ow = (w + 2 * layer.pad - layer.kernel_size) // layer.stride + 1
-                per_unit = oh * ow
+                out_shape = layer.output_shape(h, w)
+                act_in, per_unit = rows * c * h * w, out_shape[1] * out_shape[2]
             else:
-                per_unit = 1
-            slice_cycles = []
-            for k, _sliced, lo, hi in assignments:
-                orig = self._position_to_shard[k]
+                act_in, per_unit = rows * layer.in_features, 1
+            if hub is not None:
+                for k in arrays:
+                    bill.ship(act_in, hub, k)
+            cycles = []
+            for k, lo, hi in slices:
                 if is_conv:
                     cost, _shape = _conv_layer_cost(
                         layer.name, c, h, w, hi - lo, layer.kernel_size,
-                        layer.stride, layer.pad, batch_size, self.config,
-                        trainable,
+                        layer.stride, layer.pad, rows, self.config, trainable,
                     )
                 else:
                     cost = _fc_layer_cost(
-                        layer.name, layer.in_features, hi - lo, batch_size,
+                        layer.name, layer.in_features, hi - lo, rows,
                         self.config, trainable,
                     )
-                bill.shard_cycles[orig] += cost.total_cycles
-                slice_cycles.append(cost.total_cycles)
+                bill.shard_cycles[k] += cost.total_cycles
                 bill.macs += cost.total_macs
-                bill.layer_cycles[layer.name] = (
-                    bill.layer_cycles.get(layer.name, 0) + cost.total_cycles
-                )
-            critical += max(slice_cycles)
-            new_hub = self._position_to_shard[assignments[0][0]]
-            # Forward: gather the output slices to the layer's hub.
-            for k, _sliced, lo, hi in assignments:
-                bill.ship(
-                    batch_size * (hi - lo) * per_unit,
-                    self._position_to_shard[k], new_hub,
-                )
-            # Backward: partial-dX reduction, only while gradient still
-            # flows to a trainable layer below this one.
-            if (
-                trainable
-                and prev_param is not None
-                and prev_param[0] >= first_trainable
-            ):
-                for orig in consumers:
-                    bill.ship(act_in, orig, new_hub)
-                for dst in prev_param[1]:
-                    bill.ship(act_in, new_hub, dst)
+                cycles.append(cost.total_cycles)
+                spans.append((cost.total_cycles, {"shard": k, "layer": layer.name}))
+            name = layer.name
+            while name in bill.layer_cycles:  # never merge duplicates
+                name += "'"
+            bill.layer_cycles[name] = sum(cycles)
+            critical += max(cycles)
+            hub = arrays[0]
+            for k, lo, hi in slices:
+                bill.ship(rows * (hi - lo) * per_unit, k, hub)
+            if trainable and below is not None:
+                for k in arrays:
+                    bill.ship(act_in, k, hub)
+                for k in below:
+                    bill.ship(act_in, hub, k)
+            below = arrays if trainable else None
             if is_conv:
-                c, h, w = layer.out_channels, oh, ow
-            hub_orig = new_hub
-            prev_param = (index, consumers)
-        return bill.cost(batch_size, critical)
-
-    def _requantize(self, x: np.ndarray) -> np.ndarray:
-        return self.activation_format.quantize(x) if self.quantized else x
+                c, h, w = out_shape
+        return _Priced(bill.cost(rows, critical), tuple(spans))
 
     def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, ShardCost]:
+        """One datapath forward over the batch, the schedule priced.
+
+        The survivors are known before anything runs (a crash failover
+        only changes the plan the price is made from), the Q values
+        come from the datapath in one pass, and the cost is the
+        cached price of the policy's schedule — stretched, under chaos,
+        by each busy array's retries and stragglers: a barrier (sample)
+        waits on the slowest stretched array; a pipeline's makespan,
+        and the per-layer barriers of the layer policy (charged
+        conservatively, with no bubbles), absorb every stretch.
+        """
         x = np.asarray(states, dtype=np.float64)
         if x.ndim != 4:
             raise ValueError(f"expected an (N, C, H, W) state batch, got {x.shape}")
         if FAULTS.enabled:
             self._chaos_forward = FAULTS.injector.note_forward()
-        if self.shard == "layer":
-            return self._forward_layer_sharded(x)
-        return self._forward_priced(x)
-
-    def _forward_priced(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """One datapath forward over the batch, the schedule priced.
-
-        The survivors are known before anything runs (crash failover
-        re-splits the batch or re-plans the stages over them), the Q
-        values come from the shared child array in one pass, and the
-        cost is the cached price of the chunked schedule — stretched,
-        under chaos, by each busy array's retries and stragglers: a
-        barrier (sample) waits on the slowest stretched array, a
-        pipeline's makespan absorbs every stretch.
-        """
         alive = self._active_shards()
         if not alive:
             return self._forward_degraded(x)
         start = time.perf_counter_ns()
-        q_values, _ = self.children[0].forward_batch(x)
+        q_values, _ = self.datapath.forward_batch(x)
         wall = time.perf_counter_ns() - start
         priced = self._priced(x.shape[0], x.shape[1:], tuple(alive), None)
         if PROBE.enabled:
@@ -1040,102 +946,20 @@ class ShardedBackend(ExecutionBackend):
         if not FAULTS.enabled:
             return q_values, replace(cost, layer_cycles=dict(cost.layer_cycles))
         shard_cycles, added = self._fault_extras(cost.shard_cycles)
-        compute = cost.critical_path_cycles - cost.merge_cycles
-        compute = max(shard_cycles) if self.shard == "sample" else compute + added
+        if self.shard == "sample":
+            compute = max(shard_cycles)
+        else:
+            compute = cost.critical_path_cycles - cost.merge_cycles + added
         return q_values, replace(
             cost,
             layer_cycles=dict(cost.layer_cycles),
             shard_cycles=tuple(shard_cycles),
             critical_path_cycles=compute + cost.merge_cycles,
             critical_shard_index=_argmax(shard_cycles),
-            fill_drain_cycles=compute - max(shard_cycles),
+            fill_drain_cycles=(
+                compute - max(shard_cycles) if self.shard == "pipeline" else 0
+            ),
         )
-
-    def _forward_layer_sharded(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
-        """Every array computes its output slice of each layer.
-
-        Layers execute in sequence (true data dependency); within a
-        layer the K slices run in parallel, so the layer contributes
-        its *slowest* slice to the critical path.  After each
-        parametric layer the slices gather to a hub array — the first
-        array assigned to the layer — into the full activation
-        (concatenation along the channel/feature axis reproduces the
-        original output order — slices are contiguous); elementwise /
-        pooling layers run there.  When the next parametric layer is
-        reached, the activation it consumes — post-pooling, so the
-        tensor that actually moves — is broadcast from the hub to the
-        *other* arrays assigned to it (nothing after the last layer:
-        the Q values are already gathered; nothing for the first, whose
-        input arrives from the host).  Both transfers price each moved
-        element on the NoC model — per *receiving* array for the
-        broadcast (each non-hub consumer's link carries the whole
-        activation; the hub itself never pays), per *sending* array for
-        the gather — so the flat topology reproduces the legacy
-        one-cycle-per-element charge exactly.
-        """
-        n = x.shape[0]
-        if FAULTS.enabled and not self._active_shards():
-            return self._forward_degraded(x)
-        x = self._requantize(x)
-        bill = _Bill(self)
-        critical = 0
-        hub: int | None = None
-        pe_sim = (
-            FunctionalSystolicArray(self.config, fidelity="pe")
-            if self.fidelity == "pe"
-            else None
-        )
-        for index, layer in enumerate(self.network.layers):
-            assignments = self._plan.get(index)
-            if not assignments:
-                # ReLU / pooling / flatten run on the merged activation
-                # (vector units / comparators) — no MAC cycles, exactly
-                # as on the single-array path.
-                x = layer.forward(x, training=False)
-            else:
-                if hub is not None:
-                    # Broadcast the hub's activation to every *other*
-                    # array computing this layer — one full-activation
-                    # transfer per non-hub consumer, none when the hub
-                    # consumes its own copy (so a layer feeding several
-                    # arrays charges each link once, no double count).
-                    hub_orig = self._position_to_shard[hub]
-                    for k, *_rest in assignments:
-                        bill.ship(x.size, hub_orig, self._position_to_shard[k])
-                parts = []
-                slice_cycles = []
-                for k, sliced, _lo, _hi in assignments:
-                    orig = self._position_to_shard[k]
-                    with PROBE.span(
-                        "shard.forward", shard=orig, layer=layer.name
-                    ) as sp:
-                        out_k, cycles_k, macs_k = self.children[k].forward_layer(
-                            sliced, x, pe_sim
-                        )
-                        sp.add_cycles(cycles_k)
-                    parts.append(out_k)
-                    bill.shard_cycles[orig] += cycles_k
-                    slice_cycles.append(cycles_k)
-                    bill.macs += macs_k
-                x = np.concatenate(parts, axis=1)
-                name = layer.name
-                while name in bill.layer_cycles:  # never merge duplicates
-                    name += "'"
-                bill.layer_cycles[name] = sum(slice_cycles)
-                # Gather every non-hub slice into the full activation.
-                hub = assignments[0][0]
-                hub_orig = self._position_to_shard[hub]
-                for (k, *_rest), part in zip(assignments, parts):
-                    bill.ship(part.size, self._position_to_shard[k], hub_orig)
-                critical += max(slice_cycles)
-            x = self._requantize(x)
-        if FAULTS.enabled:
-            # Transient retries and stragglers stretch each array's
-            # per-layer slices; charged conservatively to the critical
-            # path (every layer barrier waits on its slowest slice).
-            bill.shard_cycles, added = self._fault_extras(bill.shard_cycles)
-            critical += added
-        return x, bill.cost(n, critical)
 
     # ------------------------------------------------------------------
     # Pipeline policy

@@ -21,9 +21,12 @@ Runs the Q network the way the paper's accelerator does:
 
 ``quantized=False`` disables the fixed-point datapath and serves float
 numerics while still charging cycles — the post-hoc "cost this
-observation batch" mode.  :meth:`SystolicBackend.forward_layer` exposes
-the per-layer primitive (one conv or FC pass on this array) that the
-multi-array :class:`~repro.backend.sharded.ShardedBackend` composes.
+observation batch" mode.  :meth:`SystolicBackend.forward_layer` is the
+per-layer primitive (one conv or FC pass on this array) that
+:meth:`SystolicBackend.forward_batch` chains.  The multi-array
+:class:`~repro.backend.sharded.ShardedBackend` does not compose it: it
+runs one :meth:`~SystolicBackend.forward_batch` and prices its
+schedule in closed form.
 """
 
 from __future__ import annotations
@@ -209,15 +212,13 @@ class SystolicBackend(ExecutionBackend):
     ) -> tuple[np.ndarray, int, int]:
         """One parametric layer on this array: ``(output, cycles, macs)``.
 
-        The single-layer primitive multi-array composition builds on:
-        a :class:`~repro.backend.sharded.ShardedBackend` hands each
-        child array its slice of a layer (full input, a subset of the
-        output channels / features) and merges the outputs.  Bias is
-        added; the activation re-quantisation between layers is the
-        caller's job — it must happen *after* shard outputs merge, and
-        it is elementwise, so merge-then-quantise equals
-        quantise-then-merge and the sharded datapath stays bitwise
-        equal to this single-array path.
+        Bias is added; the activation re-quantisation between layers
+        is the caller's job.  Given an output slice of a layer (full
+        input, a subset of the output channels / features) it computes
+        exactly that slice of the full layer's output: re-quantisation
+        is elementwise, so merge-then-quantise equals
+        quantise-then-merge, and slices executed on separate arrays
+        merge bitwise equal to this single-array path.
         """
         if isinstance(layer, Conv2D):
             if self.fidelity == "pe" and pe_sim is None:

@@ -1,18 +1,20 @@
-"""Executing reference for the priced ``sample`` / ``pipeline`` schedules.
+"""Executing reference for the priced shard schedules.
 
-``ShardedBackend`` serves the ``sample`` and ``pipeline`` policies as one
-datapath forward over the whole batch plus a closed-form price of the
-chunked schedule.  This module keeps the schedule the price stands for
-as code that *runs* it: the batch really splits into chunks (sample) or
-micro-batches × stages (pipeline), every piece executes on the child
-array, and the cost is read off the executed cycle counts.  It plays the
-role ``fidelity="pe"`` plays for the kernels — slow, literal, and the
-oracle the fast path is checked against in ``tests/``.
+``ShardedBackend`` serves every shard policy as one datapath forward
+over the whole batch plus a closed-form price of the schedule.  This
+module keeps the schedule the price stands for as code that *runs* it:
+the batch really splits into chunks (sample) or micro-batches × stages
+(pipeline), or every array really holds its own sliced copy of each
+layer and computes its output slice from the broadcast activation
+(layer); every piece executes, and the cost is read off the executed
+cycle counts.  It plays the role ``fidelity="pe"`` plays for the
+kernels — slow, literal, and the oracle the fast path is checked
+against in ``tests/``.
 
 :func:`reference_train_cost` is the matching literal walk of the
 training schedules (data-parallel gradient all-reduce, pipelined
 forward + backward with boundary gradients and replicated-stage
-reductions).
+reductions, model-parallel slices with partial-dX reductions).
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import numpy as np
 
 from repro.backend.base import ShardCost
 from repro.backend.sharded import _argmax, _pipeline_schedule
+from repro.backend.systolic_backend import SystolicBackend
 from repro.faults.injector import FAULTS
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
+from repro.nn.network import Network
 from repro.obs.probes import PROBE
 from repro.systolic.functional import FunctionalSystolicArray
 from repro.systolic.training import network_training_step_cost
@@ -64,7 +68,7 @@ def reference_forward(backend, states: np.ndarray) -> tuple[np.ndarray, ShardCos
         return _forward_sample(backend, x)
     if backend.shard == "pipeline":
         return _forward_pipeline(backend, x)
-    raise ValueError(f"no executing reference for shard={backend.shard!r}")
+    return _forward_layer(backend, x)
 
 
 def _forward_sample(backend, x):
@@ -85,7 +89,7 @@ def _forward_sample(backend, x):
         if chunk.shape[0] == 0:
             continue  # batch narrower than K: array k idles
         start = time.perf_counter_ns()
-        q_k, cost_k = backend.children[0].forward_batch(chunk)
+        q_k, cost_k = backend.datapath.forward_batch(chunk)
         PROBE.record_span(
             "shard.forward", time.perf_counter_ns() - start,
             cycles=cost_k.total_cycles, shard=k, states=chunk.shape[0],
@@ -135,10 +139,10 @@ def _forward_pipeline(backend, x):
     outputs = []
     pe_sim = (
         FunctionalSystolicArray(backend.config, fidelity="pe")
-        if backend.fidelity == "pe"
+        if backend.datapath.fidelity == "pe"
         else None
     )
-    child = backend.children[0]
+    child = backend.datapath
     requantize = child._requantize
     for m, chunk in enumerate(chunks):
         h = requantize(chunk)
@@ -236,7 +240,9 @@ def reference_train_cost(
         return _train_cost_pipeline(
             backend, batch_size, state_shape, first_trainable, alive
         )
-    raise ValueError(f"no training reference for shard={backend.shard!r}")
+    return _train_cost_layer(
+        backend, batch_size, state_shape, first_trainable, alive
+    )
 
 
 def _train_cost_sample(backend, batch_size, state_shape, first_trainable, alive):
@@ -356,4 +362,214 @@ def _train_cost_pipeline(backend, batch_size, state_shape, first_trainable, aliv
         critical_shard_index=_argmax(shard_cycles),
         merge_hops=merge_hops, fill_drain_cycles=fill_drain,
         noc=backend.noc,
+    )
+
+
+# ----------------------------------------------------------------------
+# Layer policy: per-array sliced copies of every parametric layer
+# ----------------------------------------------------------------------
+def _slice_layer(layer, lo: int, hi: int):
+    """A copy of ``layer`` holding output slice ``[lo:hi)`` of its weights.
+
+    Conv2D slices the filter axis, Dense the output-feature axis; the
+    input dimension stays full because layer sharding broadcasts the
+    whole activation to every array.  Weight *values* are placeholders
+    until :func:`_copy_slice` copies the live slice in.
+    """
+    if isinstance(layer, Conv2D):
+        return Conv2D(
+            layer.in_channels, hi - lo, layer.kernel_size,
+            stride=layer.stride, pad=layer.pad, name=layer.name,
+        )
+    return Dense(layer.in_features, hi - lo, name=layer.name)
+
+
+def _copy_slice(src, dst, lo: int, hi: int) -> None:
+    """Copy output slice ``[lo:hi)`` of ``src``'s weights into ``dst``."""
+    if isinstance(src, Conv2D):
+        dst.weight.value[...] = src.weight.value[lo:hi]
+    else:
+        dst.weight.value[...] = src.weight.value[:, lo:hi]
+    dst.bias.value[...] = src.bias.value[lo:hi]
+
+
+def _slice_arrays(backend, alive):
+    """Slice every parametric layer over the ``alive`` arrays.
+
+    Returns ``(plan, arrays)``: ``plan[index]`` lists
+    ``(array, sliced layer)`` for parametric layer ``index`` (arrays
+    left idle by a layer narrower than the survivors get no slice of
+    it), and ``arrays[k]`` is array ``k``'s own systolic datapath over
+    its sliced sub-network, downloaded from the live weights.
+    """
+    plan: dict[int, list] = {}
+    per_array: dict[int, list] = {k: [] for k in alive}
+    for index, layer in backend.network.parametric_layers():
+        width = (
+            layer.out_channels if isinstance(layer, Conv2D) else layer.out_features
+        )
+        bounds = np.linspace(0, width, len(alive) + 1).astype(int)
+        plan[index] = []
+        for k, lo, hi in zip(alive, bounds, bounds[1:]):
+            if hi <= lo:
+                continue  # layer narrower than the survivors: k idles
+            sliced = _slice_layer(layer, int(lo), int(hi))
+            _copy_slice(layer, sliced, int(lo), int(hi))
+            plan[index].append((k, sliced))
+            per_array[k].append(sliced)
+    datapath = backend.datapath
+    arrays = {
+        k: SystolicBackend(
+            Network(layers or [Dense(1, 1, name=f"idle{k}")], name=f"shard{k}"),
+            config=datapath.config, fidelity=datapath.fidelity,
+            quantized=datapath.quantized, weight_format=datapath.weight_format,
+            activation_format=datapath.activation_format,
+        )
+        for k, layers in per_array.items()
+    }
+    return plan, arrays
+
+
+def _forward_layer(backend, x):
+    """Every array computes its output slice of each layer, executed.
+
+    After each parametric layer the slices gather to the layer's hub
+    (its first array) into the full activation; the activation the next
+    parametric layer consumes is broadcast from there to every other
+    array computing it.
+    """
+    n = x.shape[0]
+    active = backend._active_shards()
+    if not active:
+        return backend._forward_degraded(x)
+    plan, arrays = _slice_arrays(backend, active)
+    pe_sim = (
+        FunctionalSystolicArray(backend.config, fidelity="pe")
+        if backend.datapath.fidelity == "pe"
+        else None
+    )
+    requantize = backend.datapath._requantize
+    h = requantize(x)
+    shard_cycles = [0] * backend.shards
+    layer_cycles: dict[str, int] = {}
+    macs = 0
+    critical = 0
+    transfers = []
+    hub = None
+    for index, layer in enumerate(backend.network.layers):
+        if index not in plan:
+            h = layer.forward(h, training=False)
+        else:
+            if hub is not None:
+                transfers += [(h.size, hub, k) for k, _sliced in plan[index]]
+            parts = []
+            slice_cycles = []
+            for k, sliced in plan[index]:
+                start = time.perf_counter_ns()
+                out_k, cycles_k, macs_k = arrays[k].forward_layer(sliced, h, pe_sim)
+                PROBE.record_span(
+                    "shard.forward", time.perf_counter_ns() - start,
+                    cycles=cycles_k, shard=k, layer=layer.name,
+                )
+                parts.append(out_k)
+                shard_cycles[k] += cycles_k
+                slice_cycles.append(cycles_k)
+                macs += macs_k
+            h = np.concatenate(parts, axis=1)
+            name = layer.name
+            while name in layer_cycles:
+                name += "'"
+            layer_cycles[name] = sum(slice_cycles)
+            hub = plan[index][0][0]
+            transfers += [
+                (part.size, k, hub) for (k, _sliced), part in zip(plan[index], parts)
+            ]
+            critical += max(slice_cycles)
+        h = requantize(h)
+    if FAULTS.enabled:
+        # Retries and stragglers stretch each array's slices; every
+        # layer barrier waits on them.
+        for k in active:
+            if shard_cycles[k]:
+                extra = backend._chaos_extra(k, shard_cycles[k])
+                shard_cycles[k] += extra
+                critical += extra
+    shipped = [_ship(backend, *transfer) for transfer in transfers]
+    merge = sum(cycles for cycles, _hops in shipped)
+    return h, ShardCost(
+        backend=backend.name, states=n, macs=macs, layer_cycles=layer_cycles,
+        shards=backend.shards, shard_cycles=tuple(shard_cycles),
+        critical_path_cycles=critical + merge, merge_cycles=merge,
+        critical_shard_index=_argmax(shard_cycles),
+        merge_hops=sum(hops for _cycles, hops in shipped), noc=backend.noc,
+    )
+
+
+def _train_cost_layer(backend, batch_size, state_shape, first_trainable, alive):
+    """Model-parallel training: each array trains its own slices.
+
+    Every slice is costed as a one-layer network on the closed-form
+    oracle.  The forward pays the inference broadcasts and gathers; the
+    backward then walks the parametric layers top down, and wherever a
+    trainable layer has a trainable layer below it, every array of the
+    upper layer ships its partial dX to the upper hub, which sends the
+    sum to every array of the lower layer.
+    """
+    plan, _arrays = _slice_arrays(backend, alive)
+    c, h, w = (int(v) for v in state_shape)
+    shard_cycles = [0] * backend.shards
+    layer_cycles: dict[str, int] = {}
+    macs = 0
+    critical = 0
+    transfers = []
+    walked = []  # (arrays, input elements, trainable) per parametric layer
+    for index, layer in enumerate(backend.network.layers):
+        if index not in plan:
+            if isinstance(layer, MaxPool2D):
+                h, w = layer.output_shape(h, w)
+            continue
+        trainable = index >= first_trainable
+        is_conv = isinstance(layer, Conv2D)
+        in_shape = (c, h, w) if is_conv else (layer.in_features, 1, 1)
+        if is_conv:
+            c, h, w = layer.output_shape(h, w)
+        arrays = [k for k, _sliced in plan[index]]
+        in_elements = batch_size * int(np.prod(in_shape))
+        if walked:
+            prev_hub = walked[-1][0][0]
+            transfers += [(in_elements, prev_hub, k) for k in arrays]
+        slice_cycles = []
+        for k, sliced in plan[index]:
+            step = network_training_step_cost(
+                Network([sliced], name=f"shard{k}"), in_shape, batch_size,
+                config=backend.config, first_trainable=0 if trainable else 1,
+            )
+            shard_cycles[k] += step.total_cycles
+            slice_cycles.append(step.total_cycles)
+            macs += step.total_macs
+            out_width = sliced.out_channels if is_conv else sliced.out_features
+            transfers.append(
+                (batch_size * out_width * (h * w if is_conv else 1), k, arrays[0])
+            )
+        name = layer.name
+        while name in layer_cycles:
+            name += "'"
+        layer_cycles[name] = sum(slice_cycles)
+        critical += max(slice_cycles)
+        walked.append((arrays, in_elements, trainable))
+    for (below, _elements, below_trainable), (arrays, in_elements, trainable) in (
+        reversed(list(zip(walked, walked[1:])))
+    ):
+        if trainable and below_trainable:
+            transfers += [(in_elements, k, arrays[0]) for k in arrays]
+            transfers += [(in_elements, arrays[0], k) for k in below]
+    shipped = [_ship(backend, *transfer) for transfer in transfers]
+    merge = sum(cycles for cycles, _hops in shipped)
+    return ShardCost(
+        backend=backend.name, states=batch_size, macs=macs,
+        layer_cycles=layer_cycles, shards=backend.shards,
+        shard_cycles=tuple(shard_cycles),
+        critical_path_cycles=critical + merge, merge_cycles=merge,
+        critical_shard_index=_argmax(shard_cycles),
+        merge_hops=sum(hops for _cycles, hops in shipped), noc=backend.noc,
     )

@@ -297,27 +297,33 @@ class TestWeightBusFaults:
         # The rollback restored the checksum-good snapshot.
         assert agent.backend.weight_checksum() != before
 
-    def test_failover_layout_is_a_fresh_download(self):
-        """A flip still open when a layer failover re-slices the weights
-        went with the dropped layout: the next publish adopts the new
-        layout as the good snapshot and closes the flip as recovered."""
+    def test_flip_open_across_layer_failover_is_rolled_back(self):
+        """A flip still open when a layer failover re-plans the slices
+        stays in the one serving buffer the survivors read: the next
+        publish's ordinary checksum check catches it and rolls back."""
         backend = ShardedBackend(make_net(), shards=4, shard="layer")
-        agent = make_agent(backend, sync_every=2)
+        agent = make_agent(backend, sync_every=4)
         states = np.zeros((2, 1, SIDE, SIDE))
         plan = FaultPlan(seed=1, sram_flip_rate=1.0, shard_crashes=((1, 1),))
         with chaos(plan) as inj:
             agent.weight_bus.publish()  # captures good, injects a flip
+            good = agent.weight_bus._good_checksum
+            layout = {n: a.shape for n, a in backend.weight_buffers().items()}
             assert not inj.events[0].detected
             inj.note_step()
-            backend.forward_batch(states)  # crash: re-slice over 3 arrays
-            agent.weight_bus.publish()  # no rollback across layouts
+            backend.forward_batch(states)  # crash: fail over onto 3 arrays
+            assert inj.events[1].kind == "shard.crash"
+            # The failover left the buffer, and the flip in it, alone.
+            assert {
+                n: a.shape for n, a in backend.weight_buffers().items()
+            } == layout
+            assert backend.weight_checksum() != good
+            agent.weight_bus.publish()  # integrity check catches it
             flip = inj.events[0]
             assert flip.kind == "sram.flip"
+            assert flip.target in layout
             assert flip.detected and flip.recovered
-            assert "failover" in flip.detail
-            assert len(backend.weight_buffers()) == len(
-                agent.weight_bus._good_buffers
-            )
+            assert "rollback" in flip.detail
 
     def test_publish_drop_caught_by_staleness_watchdog(self):
         agent = self._agent(sync_every=2)
@@ -389,6 +395,28 @@ class TestShardFaults:
         assert cost.shard_cycles[2] == 0
         assert inj.drain_round()["recovery_cycles"] > 0
 
+    @pytest.mark.parametrize("policy", ["sample", "layer", "pipeline"])
+    def test_failover_serves_the_published_weights(self, policy):
+        """A crash failover re-plans the schedule, never the weights:
+        live trainer updates the weight bus has not flipped stay off
+        the datapath, so the served Q values and the serving-buffer
+        checksum are the same before and after the failover."""
+        backend, net = self._sharded(policy)
+        bus = make_agent(backend, sync_every=4).weight_bus
+        states = self._states()
+        served, _ = backend.forward_batch(states)
+        checksum = backend.weight_checksum()
+        for p in net.parameters():
+            p.value = p.value + 0.01
+        bus.publish()  # staged, not flipped
+        with chaos(FaultPlan(seed=0, shard_crashes=((1, 2),))) as inj:
+            inj.note_step()
+            q, cost = backend.forward_batch(states)
+        assert inj.events[0].kind == "shard.crash" and cost.shard_cycles[2] == 0
+        assert q.tobytes() == served.tobytes()
+        assert backend.weight_checksum() == checksum
+        assert bus.staleness == 1
+
     def test_all_arrays_lost_degrades_to_numpy(self):
         backend, net = self._sharded()
         states = self._states()
@@ -440,31 +468,40 @@ class TestShardFaults:
         assert degraded.critical_path_cycles >= alive_cost.critical_path_cycles
 
 
+def _assert_poisoned_weights_recovered(backend, served) -> None:
+    """Rail the served weights; the agent's guard must flip and recompute."""
+    agent = make_agent(backend)
+    states = np.random.default_rng(0).uniform(0, 1, size=(4, 1, SIDE, SIDE))
+    with chaos(FaultPlan(seed=0, sram_flip_rate=1e-9)) as inj:
+        # Poison the *served* value snapshots only; the float staging
+        # weights stay clean, so a bus flip is a real repair.  Huge
+        # weights rail every activation at the quantization ceiling,
+        # which is exactly the signature the guard's rail-pinned check
+        # looks for (NaNs would be laundered into finite codes by the
+        # activation quantizer).
+        for name in served:
+            served[name][:] = 1e9
+        q = agent.act_batch(states, greedy=True)
+    assert q.shape == (4,)
+    anomaly = [e for e in inj.events if e.kind == "qvalue.anomaly"]
+    assert len(anomaly) == 1
+    assert anomaly[0].detected and anomaly[0].recovered
+    assert "recompute" in anomaly[0].detail
+    # The served snapshot is clean again.
+    assert np.isfinite(backend.forward_batch(states)[0]).all()
+
+
 class TestQValueGuard:
     def test_poisoned_weights_detected_and_recovered(self):
-        net = make_net()
-        backend = SystolicBackend(net)
-        agent = make_agent(backend)
-        states = np.random.default_rng(0).uniform(
-            0, 1, size=(4, 1, SIDE, SIDE)
-        )
-        with chaos(FaultPlan(seed=0, sram_flip_rate=1e-9)) as inj:
-            # Poison the *served* value snapshots only; the float
-            # staging weights stay clean, so a bus flip is a real
-            # repair.  Huge weights rail every activation at the
-            # quantization ceiling, which is exactly the signature the
-            # guard's rail-pinned check looks for (NaNs would be
-            # laundered into finite codes by the activation quantizer).
-            for name in backend._value:
-                backend._value[name][:] = 1e9
-            q = agent.act_batch(states, greedy=True)
-        assert q.shape == (4,)
-        anomaly = [e for e in inj.events if e.kind == "qvalue.anomaly"]
-        assert len(anomaly) == 1
-        assert anomaly[0].detected and anomaly[0].recovered
-        assert "recompute" in anomaly[0].detail
-        # The served snapshot is clean again.
-        assert np.isfinite(backend.forward_batch(states)[0]).all()
+        backend = SystolicBackend(make_net())
+        _assert_poisoned_weights_recovered(backend, backend._value)
+
+    @pytest.mark.parametrize("shard", ["sample", "layer", "pipeline"])
+    def test_poisoned_sharded_weights_detected_and_recovered(self, shard):
+        # Every policy serves from its one datapath's buffer, and the
+        # guard reads the quantised format through the sharded backend.
+        backend = ShardedBackend(make_net(), shards=2, shard=shard)
+        _assert_poisoned_weights_recovered(backend, backend.datapath._value)
 
     def test_guard_blames_undetected_flip_first(self):
         net = make_net()
@@ -574,10 +611,10 @@ class TestFleetChaosRun:
         )
 
     def test_layer_crash_failover_under_default_chaos_completes(self):
-        """A layer-sharding failover re-slices every weight over the
-        survivors; the weight bus must take the re-broadcast as a fresh
-        download instead of rolling back across layouts (which used to
-        die broadcasting a 4-array snapshot into 3-array buffers)."""
+        """A layer-sharding failover under the default chaos mix
+        re-plans the slices over the survivors and the run completes
+        (it once died rolling a 4-array snapshot back into 3-array
+        buffers)."""
         plan = FaultPlan(
             seed=0, shard_crashes=((10, 1),), **DEFAULT_CHAOS_RATES
         )
@@ -587,8 +624,10 @@ class TestFleetChaosRun:
         assert 0.0 < report.availability < 1.0
         crash = next(e for e in report.fault_events if e["kind"] == "shard.crash")
         assert crash["detected"] and crash["recovered"]
-        # Upsets after the failover are checked against the new layout.
-        assert any(e["kind"] == "sram.flip" for e in report.fault_events)
+        # Upsets before and after the failover hit the one serving
+        # buffer the survivors read, under its full buffer names.
+        flips = [e for e in report.fault_events if e["kind"] == "sram.flip"]
+        assert flips and all("/" not in e["target"] for e in flips)
 
     def test_fault_free_run_reports_trivial_metrics(self):
         report = self._run()

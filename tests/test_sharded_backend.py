@@ -3,14 +3,14 @@
 Contracts under test:
 
 * ``ShardedBackend`` is **bitwise-equal** in Q values to the
-  single-array ``SystolicBackend`` for both shard policies, over
+  single-array ``SystolicBackend`` for every shard policy, over
   K in {1, 2, 4} and uneven batch sizes — splitting a batch or slicing
   an output dimension must not change one bit of the fixed-point
   datapath's results;
 * ``ShardCost`` separates work (summed layer cycles) from wall-clock
   (critical path = slowest array + merge traffic), and merged records
   accumulate critical paths serially;
-* the ``sample`` / ``pipeline`` price equals the executing reference
+* every policy's price equals the executing reference
   (``tests/sharded_reference.py``) field for field — forward and
   training, with arrays killed and chaos stretching the schedule —
   over policy x K x NoC x batch x survivor set (hypothesis);
@@ -592,55 +592,65 @@ class TestShardEdgeCases:
             assert cost.merge_cycles == cost.merge_hops  # flat
 
     def test_consumer_accounting_matches_plan_walk(self, rng):
-        """Pin the layer-policy all-gather charge: replay the plan and
-        charge ``(consumers - hub) * activation + gather`` by hand; the
-        backend's flat-NoC merge must agree exactly.  K=8 makes FC5
-        (5 outputs) narrower than the array count, so consumer sets
-        shrink and shift between layers — the case the charge could
-        double- or under-count."""
+        """Pin the layer-policy all-gather charge: walk the
+        ``(array, lo, hi)`` plan and charge ``(consumers - hub) *
+        activation + gather`` by hand; the backend's flat-NoC merge must
+        agree exactly.  K=8 makes FC5 (5 outputs) narrower than the
+        array count, so consumer sets shrink and shift between layers —
+        the case the charge could double- or under-count."""
         net = make_net()
         states = rng.uniform(0, 1, size=(3, 1, SIDE, SIDE))
         backend = ShardedBackend(net, shards=8, shard="layer")
         _, cost = backend.forward_batch(states)
 
-        x = backend._requantize(np.asarray(states, dtype=np.float64))
+        plan = backend._layer_plan(tuple(range(8)))
+        x = np.asarray(states, dtype=np.float64)
         expected = 0
         hub = None
         narrow_seen = False
         for index, layer in enumerate(net.layers):
-            assignments = backend._plan.get(index)
-            if not assignments:
-                x = layer.forward(x, training=False)
-            else:
-                consumers = {k for k, *_rest in assignments}
+            slices = plan.get(index)
+            if slices is not None:
+                consumers = {k for k, _lo, _hi in slices}
                 if len(consumers) < 8:
                     narrow_seen = True
                 if hub is not None:
                     # Hub consumes its own copy free; every other
                     # consumer's link carries the full activation once.
                     expected += len(consumers - {hub}) * x.size
-                widths = [hi - lo for _k, _s, lo, hi in assignments]
-                x = layer.forward(x, training=False)
-                hub = assignments[0][0]
+            x = layer.forward(x, training=False)
+            if slices is not None:
+                widths = [hi - lo for _k, lo, hi in slices]
+                hub = slices[0][0]
                 expected += x.size - x.size * widths[0] // sum(widths)
-            x = backend._requantize(x)
         assert narrow_seen  # FC5's 5 outputs over 8 arrays
         assert cost.merge_cycles == expected
 
-    def test_idle_arrays_receive_no_broadcast(self, rng):
+    def test_idle_arrays_receive_no_broadcast(self):
         """An array with no slice of a narrow layer is not a consumer —
-        it must not appear in that layer's plan at all."""
+        it must not appear in that layer's plan at all; the slices that
+        remain tile the layer's outputs contiguously, over survivors
+        only (all 8 arrays, then 6 after two crashes)."""
         net = make_net()
         backend = ShardedBackend(net, shards=8, shard="layer")
-        narrow = [
-            assignments
-            for assignments in backend._plan.values()
-            if len(assignments) < 8
-        ]
-        assert narrow  # FC5 is narrower than K=8
-        for assignments in narrow:
-            ks = [k for k, *_rest in assignments]
-            assert len(set(ks)) == len(ks)
+        for alive in (tuple(range(8)), (0, 2, 3, 5, 6, 7)):
+            plan = backend._layer_plan(alive)
+            assert sorted(plan) == [i for i, _layer in net.parametric_layers()]
+            narrow = [s for s in plan.values() if len(s) < len(alive)]
+            assert narrow  # FC5 is narrower than the survivors
+            for index, slices in plan.items():
+                layer = net.layers[index]
+                width = (
+                    layer.out_channels if isinstance(layer, Conv2D)
+                    else layer.out_features
+                )
+                ks = [k for k, _lo, _hi in slices]
+                assert len(set(ks)) == len(ks) and set(ks) <= set(alive)
+                assert ks == sorted(ks)
+                assert all(hi > lo for _k, lo, hi in slices)
+                # Contiguous slices covering [0, width).
+                assert slices[0][1] == 0 and slices[-1][2] == width
+                assert all(a[2] == b[1] for a, b in zip(slices, slices[1:]))
 
 
 class TestModelParallelTraining:
@@ -752,7 +762,8 @@ class TestModelParallelTraining:
 
 class TestPlanThenPrice:
     """One datapath forward plus a closed-form price stands in for the
-    executed chunk / stage schedule — exactly, fault draws included."""
+    executed chunk / stage / slice schedule — exactly, fault draws
+    included."""
 
     @staticmethod
     def _run(policy, shards, noc, chunk, killed, stretch, work):
@@ -776,7 +787,7 @@ class TestPlanThenPrice:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_price_equals_executed_schedule(self, data):
-        policy = data.draw(st.sampled_from(["sample", "pipeline"]))
+        policy = data.draw(st.sampled_from(["sample", "layer", "pipeline"]))
         shards = data.draw(st.integers(1, 8))
         noc = data.draw(st.sampled_from(["flat", "ring", "mesh"]))
         batch = data.draw(st.integers(1, 20))  # batch < K included
@@ -816,11 +827,12 @@ class TestPlanThenPrice:
             if noc == "flat":
                 assert c.merge_cycles == c.merge_hops
 
-    @pytest.mark.parametrize("policy", ["sample", "pipeline"])
+    @pytest.mark.parametrize("policy", ["sample", "layer", "pipeline"])
     def test_spans_price_each_piece_and_time_one_forward(self, policy):
         """One ``shard.forward`` span per chunk (per stage x chunk under
-        pipeline) with the executed schedule's args and cycles; only
-        the first carries host time — the one forward that ran."""
+        pipeline, per layer slice under layer) with the executed
+        schedule's args and cycles; only the first carries host time —
+        the one forward that ran."""
         states = np.random.default_rng(4).uniform(0, 1, size=(16, 1, SIDE, SIDE))
         spans = {}
         for label, forward in (
