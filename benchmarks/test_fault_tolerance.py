@@ -33,6 +33,7 @@ from _artifacts import write_artifacts
 from repro.backend import ShardedBackend
 from repro.faults import chaos, parse_fault_spec
 from repro.fleet import FleetScheduler, VecNavigationEnv
+from repro.fleet.scheduler import per
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
 
@@ -84,7 +85,7 @@ def _fingerprint(report):
     return [
         (
             r.env_steps, r.episodes, r.train_updates, r.mean_loss,
-            r.inference_cycles, r.critical_path_cycles,
+            r.inference, r.training,
             r.faults_injected, r.faults_detected, r.faults_recovered,
             r.fault_recovery_cycles, r.degraded_states, r.active_shards,
         )
@@ -126,8 +127,10 @@ def test_fault_tolerance(benchmark, results_dir):
     # grow by at most K/(K-1) over the degraded stretch — the crashed
     # run must keep at least (K-1)/K of the clean modelled rate (times
     # a margin for the merge traffic of the rebuilt split).
-    clean_cps = clean.critical_path_cycles_per_env_step
-    crashed_cps = crashed.critical_path_cycles_per_env_step
+    clean_cps = per(clean.total_critical_path_cycles, clean.total_env_steps)
+    crashed_cps = per(
+        crashed.total_critical_path_cycles, crashed.total_env_steps
+    )
     degraded_ratio = clean_cps / crashed_cps if crashed_cps else 1.0
     floor = (SHARDS - 1) / SHARDS * DEGRADED_MARGIN
     assert degraded_ratio >= floor, (

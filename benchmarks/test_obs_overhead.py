@@ -65,8 +65,7 @@ def _fingerprint(report):
     return [
         (
             r.env_steps, r.episodes, r.train_updates, r.mean_loss,
-            r.inference_cycles, r.training_cycles,
-            r.critical_path_cycles, r.critical_shard_index,
+            r.inference, r.training,
             r.sync_staleness, tuple(sorted(r.eval_sfd_by_class.items())),
             # The fault-injection ledger must stay all-zero (and the
             # shard count intact) when no chaos plan is active.

@@ -35,6 +35,7 @@ from _artifacts import write_artifacts
 from repro.analysis import format_table
 from repro.backend import ShardedBackend, SystolicBackend
 from repro.fleet import FleetScheduler, VecNavigationEnv
+from repro.fleet.scheduler import per
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
 
@@ -74,7 +75,7 @@ def _wall_ratio(single, backend, states):
     return statistics.median(ratios)
 
 
-def _scaling_rows(network, states, single_cycles, single_seconds):
+def _scaling_rows(network, states, single_cycles):
     out = {}
     single = SystolicBackend(network)
     single.forward_batch(states)
@@ -82,17 +83,10 @@ def _scaling_rows(network, states, single_cycles, single_seconds):
         for shards in SHARD_COUNTS:
             backend = ShardedBackend(network, shards=shards, shard=policy)
             backend.forward_batch(states)  # warm caches and the price
-            start = time.perf_counter()
             _, cost = backend.forward_batch(states)
-            seconds = time.perf_counter() - start
-            # Wall-seconds efficiency rides along with the modelled
-            # one: the host runs the K arrays one after another, so
-            # this shows what sharding costs the simulator itself.
-            wall_speedup = single_seconds / seconds if seconds else 0.0
             out[f"{policy}-{shards}"] = {
                 "policy": policy,
                 "shards": shards,
-                "seconds": seconds,
                 "work_cycles": cost.total_cycles,
                 "critical_path_cycles": cost.critical_path_cycles,
                 "merge_cycles": cost.merge_cycles,
@@ -101,8 +95,6 @@ def _scaling_rows(network, states, single_cycles, single_seconds):
                 "scaling_efficiency": (
                     single_cycles / cost.critical_path_cycles / shards
                 ),
-                "wall_speedup": wall_speedup,
-                "wall_scaling_efficiency": wall_speedup / shards,
                 "wall_ratio": _wall_ratio(single, backend, states),
             }
     return out
@@ -139,13 +131,8 @@ def test_sharding_throughput(benchmark, results_dir):
 
     def run():
         single = SystolicBackend(network)
-        single.forward_batch(states[:2])
-        start = time.perf_counter()
         _, single_cost = single.forward_batch(states)
-        single_seconds = time.perf_counter() - start
-        scaling = _scaling_rows(
-            network, states, single_cost.total_cycles, single_seconds
-        )
+        scaling = _scaling_rows(network, states, single_cost.total_cycles)
 
         # Pipelined sharded fleet with an async weight bus.
         fleet_net = build_network(scaled_drone_net_spec(input_side=SIDE), seed=0)
@@ -166,9 +153,11 @@ def test_sharding_throughput(benchmark, results_dir):
             "shards": report.shards,
             "pipeline_overlap_fraction": report.pipeline_overlap_fraction,
             "mean_sync_staleness": report.mean_sync_staleness,
-            "cycles_per_env_step": report.cycles_per_env_step,
-            "critical_path_cycles_per_env_step": (
-                report.critical_path_cycles_per_env_step
+            "cycles_per_env_step": per(
+                report.inference.total_cycles, report.total_env_steps
+            ),
+            "critical_path_cycles_per_env_step": per(
+                report.inference.critical_path_cycles, report.total_env_steps
             ),
         }
 
@@ -193,10 +182,7 @@ def test_sharding_throughput(benchmark, results_dir):
                 "flips": flips,
             }
         return {
-            "single": {
-                "seconds": single_seconds,
-                "cycles": single_cost.total_cycles,
-            },
+            "single": {"cycles": single_cost.total_cycles},
             "scaling": scaling,
             "fleet": fleet,
             "staleness": staleness,
@@ -213,8 +199,6 @@ def test_sharding_throughput(benchmark, results_dir):
             round(r["fill_drain_cycles"] / 1e3, 1),
             round(r["cycle_speedup"], 2),
             round(r["scaling_efficiency"], 2),
-            round(r["wall_speedup"], 2),
-            round(r["wall_scaling_efficiency"], 2),
             round(r["wall_ratio"], 2),
         ]
         for r in results["scaling"].values()
@@ -222,8 +206,7 @@ def test_sharding_throughput(benchmark, results_dir):
     table = format_table(
         [
             "Policy", "K", "Critical kcyc", "Merge kcyc", "Bubble kcyc",
-            "Cycle speedup", "Cycle eff", "Wall speedup", "Wall eff",
-            "Host x single",
+            "Cycle speedup", "Cycle eff", "Host x single",
         ],
         scaling_rows,
     )

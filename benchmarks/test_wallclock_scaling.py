@@ -15,9 +15,12 @@ pays for:
   but not gated: it is a ratio of those two counts, so it *falls*
   whenever a steady step gets cheaper (fewer lookups against the same
   cold misses).
-* **Accumulator linearity** — the :class:`StepCostAccumulator`
-  add+peek loop at N and 10N records; the time ratio must stay
-  near-linear (the O(K²) list-merge it replaced would blow up 100x).
+* **Ledger linearity** — the agent's running cost ledger, a
+  ``ledger = ledger + cost`` fold over :class:`StepCost` records with
+  a ``total_cycles`` peek after every record, at N and 10N records;
+  the time ratio must stay near-linear (re-merging the whole record
+  list on every peek, the O(K²) scheme an earlier accumulator
+  replaced, would blow up 100x).
 
 Artifacts: ``wallclock_scaling.txt`` and ``BENCH_wallclock.json``.
 """
@@ -27,7 +30,7 @@ import time
 import numpy as np
 
 from _artifacts import write_artifacts
-from repro.backend import ShardedBackend, StepCost, StepCostAccumulator
+from repro.backend import ShardedBackend, StepCost
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.obs import MetricsRegistry, observed
 from repro.parallel import clear_memo_caches, memo_stats, publish_memo_metrics
@@ -48,26 +51,28 @@ MEMO_HIT_RATE_FLOOR = 0.9
 MEMO_COLD_MISS_CEILING = 26
 #: Ceiling on the oracle lookups of one steady-state step.
 MEMO_STEADY_LOOKUPS_CEILING = 9
-#: Accumulator time ratio bound for a 10x record-count increase
-#: (linear would be ~10x; the old quadratic merge was ~100x).
+#: Ledger fold time ratio bound for a 10x record-count increase
+#: (linear would be ~10x; a quadratic re-merge would be ~100x).
 ACCUMULATOR_RATIO_CEILING = 40.0
 
 
 def _accumulator_seconds(n: int) -> float:
-    """Seconds to fold ``n`` records with a ``total_cycles`` peek each."""
+    """Seconds to fold ``n`` records with ``+``, peeking ``total_cycles``
+    after each one (the agent's ledger under the scheduler's phase
+    spans)."""
     cost = StepCost(
         backend="systolic", states=4, macs=1000,
         layer_cycles={"conv1": 120, "conv2": 340, "fc1": 80},
+        shard_cycles=(540,), critical_path_cycles=540,
     )
     best = float("inf")
     for _ in range(TIMING_REPEATS):
-        acc = StepCostAccumulator("systolic")
+        ledger = StepCost(backend="systolic")
         start = time.perf_counter()
         for _ in range(n):
-            acc.add(cost)
-            _ = acc.total_cycles
+            ledger = ledger + cost
+            _ = ledger.total_cycles
         best = min(best, time.perf_counter() - start)
-        acc.drain()
     return best
 
 
@@ -105,7 +110,7 @@ def test_wallclock_scaling(benchmark, results_dir):
             },
         }
 
-        # --- accumulator linearity ----------------------------------
+        # --- ledger linearity ---------------------------------------
         base_n = 300
         small = _accumulator_seconds(base_n)
         large = _accumulator_seconds(10 * base_n)
@@ -130,7 +135,7 @@ def test_wallclock_scaling(benchmark, results_dir):
         f"{MEMO_COLD_MISS_CEILING}), "
         f"{memo['steady_lookups_per_step']:.0f} lookups per steady step "
         f"(ceiling {MEMO_STEADY_LOOKUPS_CEILING})\n"
-        f"accumulator add+peek: {acc['n']} recs {acc['seconds_n'] * 1e3:.2f} "
+        f"ledger add+peek: {acc['n']} recs {acc['seconds_n'] * 1e3:.2f} "
         f"ms, {10 * acc['n']} recs {acc['seconds_10n'] * 1e3:.2f} ms "
         f"(ratio {acc['ratio']:.1f}x, ceiling "
         f"{ACCUMULATOR_RATIO_CEILING:.0f}x)"

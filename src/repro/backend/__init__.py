@@ -15,11 +15,15 @@ post-hoc batch costing.  Four registered implementations:
   path: integer GEMM numerics on quantized raw codes through the shared
   systolic kernels plus closed-form per-step cycle budgets, with a
   ``fidelity="pe"`` oracle passthrough;
-* ``sharded`` — :class:`ShardedBackend`, K systolic arrays behind one
-  seam (``shard="sample"`` splits the batch, ``shard="layer"`` splits
-  conv filters / FC output neurons), bitwise-equal to the single-array
-  path and reporting per-array / critical-path cycle budgets as a
-  :class:`ShardCost`.
+* ``sharded`` — :class:`ShardedBackend`, K systolic arrays priced over
+  one datapath (``shard="sample"`` splits the batch, ``shard="layer"``
+  splits conv filters / FC output neurons, ``shard="pipeline"`` stages
+  the layers), bitwise-equal to the single-array path and filling the
+  per-array / critical-path / NoC fields of the same :class:`StepCost`.
+
+Every backend returns one record type, :class:`StepCost`, and any run
+of costs sums with ``+`` (``StepCost()`` is the zero record) — the
+agent's ledgers and the fleet report are such sums.
 
 Training-side weight updates reach a deployed datapath through the
 double-buffered :class:`WeightBus` (flip every ``sync_every`` updates,
@@ -32,12 +36,9 @@ selects one for whole fleet rollouts.
 from repro.backend.base import (
     BACKENDS,
     ExecutionBackend,
-    ShardCost,
     StepCost,
-    StepCostAccumulator,
     WeightBus,
     make_backend,
-    merge_step_costs,
     register_backend,
 )
 from repro.backend.numpy_backend import NumpyBackend
@@ -49,11 +50,8 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "StepCost",
-    "ShardCost",
-    "StepCostAccumulator",
     "WeightBus",
     "make_backend",
-    "merge_step_costs",
     "register_backend",
     "NumpyBackend",
     "QuantizedBackend",

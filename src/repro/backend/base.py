@@ -14,22 +14,22 @@ Backends register themselves under a short name (``numpy``,
 ``quantized``, ``systolic``, ``sharded``) via :func:`register_backend`;
 :func:`make_backend` resolves CLI-style names to instances.
 
-Two further pieces live here because every backend shares them:
-
-* :class:`ShardCost` — a :class:`StepCost` that additionally carries
-  per-array cycle totals, the critical-path cycles of the parallel
-  schedule and the merge/broadcast overhead, produced by the
-  multi-array :class:`~repro.backend.sharded.ShardedBackend`;
-* :class:`WeightBus` — the double-buffered weight path between the
-  float trainer and a deployed datapath, replacing the synchronous
-  per-update ``backend.sync()`` write-back with a configurable flip
-  cadence and a tracked staleness counter.
+:class:`StepCost` is the one additive cost record: single-array and
+multi-array (:class:`~repro.backend.sharded.ShardedBackend`) costs
+share its fields, and any run of them sums with ``+``.
+:class:`WeightBus` — the double-buffered weight path between the float
+trainer and a deployed datapath, replacing the synchronous per-update
+``backend.sync()`` write-back with a configurable flip cadence and a
+tracked staleness counter — lives here too, because every backend
+shares it.
 """
 
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from repro.systolic.array import ArrayConfig, PAPER_ARRAY
 
 __all__ = [
     "StepCost",
-    "ShardCost",
-    "StepCostAccumulator",
-    "merge_step_costs",
     "WeightBus",
     "ExecutionBackend",
     "BACKENDS",
@@ -52,24 +49,95 @@ __all__ = [
 ]
 
 
+def _add_maps(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    merged = dict(a)
+    for key, value in b.items():
+        merged[key] = merged.get(key, 0) + value
+    return merged
+
+
+def _add_tuples(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(sum, zip_longest(a, b, fillvalue=0)))
+
+
+#: How ``StepCost.__add__`` combines a field, by its annotated type;
+#: a field of any other type names its own rule in ``metadata["add"]``.
+_ADD_BY_TYPE = {"int": operator.add, "dict": _add_maps, "tuple": _add_tuples}
+
+
+def _first_set(a: str, b: str) -> str:
+    return a or b
+
+
+def _last_routed(a: str, b: str) -> str:
+    return b if b != "flat" else a
+
+
 @dataclass(frozen=True)
 class StepCost:
-    """Accelerator cost of one ``forward_batch`` call (or a merged run).
+    """Accelerator cost of one ``forward_batch`` call, or of a run of them.
 
-    ``layer_cycles`` maps layer names to the array cycles charged for
-    that layer (empty for backends without a hardware model, e.g. the
-    float NumPy path, whose cost is identically zero).  ``macs`` counts
+    The one cost record: every backend returns it, the agent's ledgers
+    and the fleet report sum it with ``+``, and a new counter is added
+    here once.  ``layer_cycles`` maps layer names to the array cycles
+    charged for that layer (empty for backends without a hardware
+    model, e.g. the float NumPy path, whose cost is identically zero);
+    these are *work* cycles, summed over every array — the number one
+    array would need to burn serially.  ``macs`` counts
     multiply-accumulates, ``states`` the state vectors served.
+
+    The schedule fields describe the arrays the work ran on (the
+    defaults are one array that charged nothing):
+
+    * ``shards`` — arrays the cost executed on;
+    * ``shard_cycles`` — per-array totals (index = array); a
+      single-array cost charges its whole total to array 0;
+    * ``critical_path_cycles`` — the wall-clock cycles of the parallel
+      schedule: per forward pass, the slowest array (sample sharding),
+      the pipeline makespan, or the sum over layers of the slowest
+      array per layer (layer sharding), plus the merge cycles.  Summed
+      records sum their critical paths — forwards are serialized by
+      the rollout loop even when each one is internally parallel;
+    * ``merge_cycles`` — inter-array traffic (gathers, layer
+      sharding's re-broadcasts, pipeline hand-offs, gradient
+      reductions), costed on the backend's
+      :class:`~repro.systolic.noc.NocModel`;
+    * ``merge_hops`` — element-hops of that traffic (== the element
+      count under ``flat``'s single hop; larger on ring/mesh hauls);
+    * ``fill_drain_cycles`` — cycles the critical path spent on
+      pipeline fill/drain bubbles (``shard="pipeline"`` only);
+    * ``noc`` — the topology name the merge was costed on.
+
+    ``a + b`` sums two records field by field: counters add, maps add
+    key by key, per-array tuples add index by index (the shorter one
+    padded with zeros), ``shards`` takes the larger, ``noc`` the last
+    routed topology and ``backend`` the first name set.  ``StepCost()``
+    is the zero record.
     """
 
-    backend: str
-    states: int
+    backend: str = field(default="", metadata={"add": _first_set})
+    states: int = 0
     macs: int = 0
     layer_cycles: dict[str, int] = field(default_factory=dict)
+    shards: int = field(default=1, metadata={"add": max})
+    shard_cycles: tuple[int, ...] = ()
+    critical_path_cycles: int = 0
+    merge_cycles: int = 0
+    merge_hops: int = 0
+    fill_drain_cycles: int = 0
+    noc: str = field(default="flat", metadata={"add": _last_routed})
+
+    def __add__(self, other: "StepCost") -> "StepCost":
+        if not isinstance(other, StepCost):
+            return NotImplemented
+        return StepCost(*[
+            add(getattr(self, name), getattr(other, name))
+            for name, add in _ADD_RULES
+        ])
 
     @property
     def total_cycles(self) -> int:
-        """Array cycles across all layers."""
+        """Array cycles across all layers (work, summed over arrays)."""
         return sum(self.layer_cycles.values())
 
     @property
@@ -77,90 +145,16 @@ class StepCost:
         """Average array cycles per state served."""
         return self.total_cycles / self.states if self.states else 0.0
 
-    def array_seconds(self, config: ArrayConfig = PAPER_ARRAY) -> float:
-        """Time the modelled array needs for this cost."""
-        return config.seconds(self.total_cycles)
-
-    # Single-array view of the sharded fields, so consumers (the fleet
-    # scheduler, the traffic projection) read one shape of record.
-    @property
-    def shards(self) -> int:
-        """Number of arrays this cost executed on (1 for plain costs)."""
-        return 1
-
-    @property
-    def critical_path_cycles(self) -> int:
-        """Wall-clock cycles of the schedule; all of them on one array."""
-        return self.total_cycles
-
-    @property
-    def merge_cycles(self) -> int:
-        """Inter-array merge/broadcast cycles (none on one array)."""
-        return 0
-
-    @property
-    def merge_hops(self) -> int:
-        """Element-hops of inter-array traffic (none on one array)."""
-        return 0
-
-    @property
-    def fill_drain_cycles(self) -> int:
-        """Pipeline fill/drain bubble cycles (none on one array)."""
-        return 0
-
-    @property
-    def noc(self) -> str:
-        """Inter-array NoC topology the merge was costed on."""
-        return "flat"
-
     @property
     def critical_shard_index(self) -> int:
-        """Index of the array on the critical path (0: only one array)."""
-        return 0
-
-
-@dataclass(frozen=True)
-class ShardCost(StepCost):
-    """A :class:`StepCost` executed across K parallel arrays.
-
-    ``layer_cycles`` (and so ``total_cycles``) keep their meaning of
-    *work*: the cycles summed over every array, the number a single
-    array would need to burn serially (plus the replicated FC tile
-    loads each array charges for its own copy).  The parallel schedule
-    adds three fields:
-
-    * ``shard_cycles`` — per-array totals over the run (index = array);
-    * ``critical_path_cycles`` — the wall-clock cycles of the parallel
-      schedule: per forward pass, the slowest array (sample sharding)
-      or the sum over layers of the slowest array per layer (layer
-      sharding), plus the merge/broadcast cycles.  Merged records sum
-      their critical paths — forwards are serialized by the rollout
-      loop even when each one is internally parallel;
-    * ``merge_cycles`` — the inter-array traffic charged for gathering
-      shard outputs (and, under layer sharding, re-broadcasting the
-      merged activation), costed on the backend's
-      :class:`~repro.systolic.noc.NocModel` (the default ``flat``
-      topology is exactly the legacy one-element-per-link-cycle model);
-    * ``merge_hops`` — element-hops of that traffic (== the element
-      count under ``flat``'s single hop; larger on ring/mesh hauls);
-    * ``fill_drain_cycles`` — schedule bubbles: cycles the critical
-      path spent waiting on pipeline fill/drain (``shard="pipeline"``
-      only; zero for the barrier policies);
-    * ``noc`` — the topology name the merge was costed on;
-    * ``critical_shard_index`` — which array burned the most cycles,
-      i.e. the one the wall clock waited on.  The fleet report and the
-      obs layer use it to label the slow span; ties break toward the
-      lowest index (``argmax`` semantics).
-    """
-
-    shards: int = 1
-    shard_cycles: tuple[int, ...] = ()
-    critical_path_cycles: int = 0
-    merge_cycles: int = 0
-    critical_shard_index: int = 0
-    merge_hops: int = 0
-    fill_drain_cycles: int = 0
-    noc: str = "flat"
+        """The array that burned the most cycles, i.e. the one the wall
+        clock waited on (ties toward the lowest index; 0 with no arrays).
+        The fleet report and the obs layer use it to label the slow span.
+        """
+        cycles = self.shard_cycles
+        if not cycles:
+            return 0
+        return max(range(len(cycles)), key=cycles.__getitem__)
 
     @property
     def parallel_speedup(self) -> float:
@@ -174,145 +168,23 @@ class ShardCost(StepCost):
         """Parallel speedup per array (1.0 = perfect scaling)."""
         return self.parallel_speedup / self.shards if self.shards else 0.0
 
+    def array_seconds(self, config: ArrayConfig = PAPER_ARRAY) -> float:
+        """Time the modelled array needs for this cost's work."""
+        return config.seconds(self.total_cycles)
+
     def critical_path_seconds(self, config: ArrayConfig = PAPER_ARRAY) -> float:
         """Wall-clock time of the parallel schedule on the modelled arrays."""
         return config.seconds(self.critical_path_cycles)
 
 
-class StepCostAccumulator:
-    """Streaming, in-place equivalent of :func:`merge_step_costs`.
-
-    The agent's pending-cost ledgers and the scheduler's per-phase cycle
-    peeks used to rebuild a merged record from the full list on every
-    update — O(K²) in the number of accumulated records.  The
-    accumulator folds each record in once (O(layers + shards) per
-    :meth:`add`), keeps a running ``total_cycles`` readable in O(1), and
-    materialises the same :class:`StepCost`/:class:`ShardCost` a list
-    merge would have produced only when :meth:`merge` is called.
-
-    Sharded-vs-plain is decided at merge time, not add time: per-array
-    totals accumulate unconditionally (a plain record charges array 0),
-    so plain records arriving before the first :class:`ShardCost` fold
-    identically to :func:`merge_step_costs`'s two-pass behaviour.
-    """
-
-    __slots__ = (
-        "_backend", "_states", "_macs", "_layer_cycles", "_total",
-        "_count", "_sharded", "_shards", "_critical", "_merge",
-        "_shard_cycles", "_merge_hops", "_fill_drain", "_noc",
-    )
-
-    def __init__(self, backend: str = ""):
-        self._backend = backend
-        self.reset()
-
-    def reset(self) -> None:
-        """Zero every tally (the bound backend name survives)."""
-        self._states = 0
-        self._macs = 0
-        self._layer_cycles: dict[str, int] = {}
-        self._total = 0
-        self._count = 0
-        self._sharded = False
-        self._shards = 0
-        self._critical = 0
-        self._merge = 0
-        self._shard_cycles: list[int] = []
-        self._merge_hops = 0
-        self._fill_drain = 0
-        self._noc = "flat"
-
-    def add(self, cost: StepCost) -> None:
-        """Fold one record into the running totals."""
-        self._count += 1
-        self._states += cost.states
-        self._macs += cost.macs
-        layer_cycles = self._layer_cycles
-        for name, cycles in cost.layer_cycles.items():
-            layer_cycles[name] = layer_cycles.get(name, 0) + cycles
-            self._total += cycles
-        if not self._backend:
-            self._backend = cost.backend
-        if isinstance(cost, ShardCost):
-            self._sharded = True
-            per_array = cost.shard_cycles
-        else:
-            per_array = (cost.total_cycles,)
-        self._shards = max(self._shards, cost.shards)
-        self._critical += cost.critical_path_cycles
-        self._merge += cost.merge_cycles
-        self._merge_hops += cost.merge_hops
-        self._fill_drain += cost.fill_drain_cycles
-        if cost.noc != "flat":
-            self._noc = cost.noc
-        shard_cycles = self._shard_cycles
-        if len(per_array) > len(shard_cycles):
-            shard_cycles.extend([0] * (len(per_array) - len(shard_cycles)))
-        for i, cycles in enumerate(per_array):
-            shard_cycles[i] += cycles
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def total_cycles(self) -> int:
-        """Running work-cycle total, O(1) — the hot scheduler peek."""
-        return self._total
-
-    def merge(self) -> StepCost:
-        """The merged record so far (does not reset the accumulator)."""
-        if self._sharded:
-            # The critical shard is recomputed from the merged per-array
-            # totals: the array that burned the most cycles over the
-            # whole run, not whichever array happened to be slow in the
-            # last constituent record.
-            shard_cycles = self._shard_cycles
-            critical_index = (
-                max(range(len(shard_cycles)), key=shard_cycles.__getitem__)
-                if shard_cycles
-                else 0
-            )
-            return ShardCost(
-                backend=self._backend, states=self._states, macs=self._macs,
-                layer_cycles=dict(self._layer_cycles), shards=self._shards,
-                shard_cycles=tuple(shard_cycles),
-                critical_path_cycles=self._critical,
-                merge_cycles=self._merge,
-                critical_shard_index=critical_index,
-                merge_hops=self._merge_hops,
-                fill_drain_cycles=self._fill_drain,
-                noc=self._noc,
-            )
-        return StepCost(
-            backend=self._backend, states=self._states, macs=self._macs,
-            layer_cycles=dict(self._layer_cycles),
-        )
-
-    def drain(self) -> StepCost:
-        """:meth:`merge`, then reset — the per-round ledger handoff."""
-        merged = self.merge()
-        self.reset()
-        return merged
+def _add_rule(f) -> object:
+    rule = f.metadata.get("add") or _ADD_BY_TYPE.get(f.type.split("[")[0])
+    if rule is None:
+        raise TypeError(f"StepCost.{f.name} ({f.type}) has no + rule")
+    return rule
 
 
-def merge_step_costs(costs: list[StepCost], backend: str = "") -> StepCost:
-    """Sum a sequence of :class:`StepCost` records into one total.
-
-    Layer cycles merge key-wise, ``states``/``macs`` add.  An empty list
-    merges to a zero cost (useful for rounds where every action explored
-    and no forward pass ran).  When any record is a :class:`ShardCost`
-    the merge stays sharded: per-array totals add index-wise (a plain
-    single-array record charges array 0), critical paths add — the
-    forwards ran one after another — and the result is a
-    :class:`ShardCost` over the widest shard count seen.
-
-    One-shot wrapper over :class:`StepCostAccumulator`; callers merging
-    incrementally in a loop should hold an accumulator instead.
-    """
-    acc = StepCostAccumulator(backend)
-    for cost in costs:
-        acc.add(cost)
-    return acc.merge()
+_ADD_RULES = tuple((f.name, _add_rule(f)) for f in fields(StepCost))
 
 
 class WeightBus:

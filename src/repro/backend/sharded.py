@@ -24,7 +24,7 @@ seam, under three shard policies:
   across several arrays, which then take micro-batches round-robin).
   The batch streams through the stages in ``pipeline_chunk``-sized
   micro-batches; the schedule's fill/drain bubbles are charged
-  explicitly (``ShardCost.fill_drain_cycles``) and only the
+  explicitly (``StepCost.fill_drain_cycles``) and only the
   stage-boundary activations cross arrays — so it keeps scaling where
   the layer policy's per-layer all-gather collapses.
 
@@ -43,7 +43,7 @@ whole batch on that datapath — one serving buffer, the paper's single
 quantised SRAM copy of the weights — and prices the schedule in
 closed form: one pure function per policy maps
 ``(plan, chunk sizes, state shape, survivors, NoC)`` to a
-:class:`~repro.backend.base.ShardCost`, built on the closed-form
+:class:`~repro.backend.base.StepCost`, built on the closed-form
 per-layer cycle oracles of :mod:`repro.systolic.training` (whose
 cycles equal the executed ones exactly).  The plan itself is a pure
 function of the surviving arrays: chunk sizes (sample), the stage
@@ -59,10 +59,11 @@ reference (``tests/sharded_reference.py``) that the priced costs are
 checked against field by field — the role ``fidelity="pe"`` plays for
 the kernels.
 
-Costs come back as a :class:`~repro.backend.base.ShardCost`:
-``layer_cycles`` stay *work* (summed over arrays — note each array
-charges its own FC tile loads, so sharded work slightly exceeds
-single-array work), ``shard_cycles`` are per-array totals,
+Costs come back as a :class:`~repro.backend.base.StepCost` with its
+schedule fields filled: ``layer_cycles`` stay *work* (summed over
+arrays — note each array charges its own FC tile loads, so sharded
+work slightly exceeds single-array work), ``shard_cycles`` are
+per-array totals,
 ``critical_path_cycles`` is the wall-clock of the parallel schedule
 (max over arrays per parallel region, plus merge traffic), and
 ``merge_cycles`` charges every element that crosses an inter-array
@@ -80,7 +81,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.backend.base import ExecutionBackend, ShardCost, register_backend
+from repro.backend.base import ExecutionBackend, StepCost, register_backend
 from repro.backend.systolic_backend import SystolicBackend
 from repro.faults.injector import FAULTS
 from repro.obs.probes import PROBE
@@ -101,13 +102,6 @@ __all__ = ["ShardedBackend", "SHARD_POLICIES"]
 
 #: Supported shard policies.
 SHARD_POLICIES = ("sample", "layer", "pipeline")
-
-
-def _argmax(cycles: list[int]) -> int:
-    """Index of the slowest array (ties toward the lowest index)."""
-    if not cycles:
-        return 0
-    return max(range(len(cycles)), key=cycles.__getitem__)
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +285,7 @@ class _Priced:
     emitted them.
     """
 
-    cost: ShardCost
+    cost: StepCost
     spans: tuple[tuple[int, dict], ...]
 
 
@@ -332,17 +326,16 @@ class _Bill:
         self.merge += noc.transfer_cycles(elements, src, dst)
         self.merge_hops += noc.element_hops(elements, src, dst)
 
-    def cost(self, states: int, compute: int, fill_drain: int = 0) -> ShardCost:
+    def cost(self, states: int, compute: int, fill_drain: int = 0) -> StepCost:
         """The record, given the schedule's compute makespan (and the
         part of it the schedule's bubbles account for)."""
         backend = self.backend
-        return ShardCost(
+        return StepCost(
             backend=backend.name, states=states, macs=self.macs,
             layer_cycles=self.layer_cycles, shards=backend.shards,
             shard_cycles=tuple(self.shard_cycles),
             critical_path_cycles=compute + self.merge,
             merge_cycles=self.merge,
-            critical_shard_index=_argmax(self.shard_cycles),
             merge_hops=self.merge_hops,
             fill_drain_cycles=fill_drain,
             noc=backend.noc,
@@ -527,7 +520,7 @@ class ShardedBackend(ExecutionBackend):
             ),
         )
 
-    def _forward_degraded(self, x: np.ndarray) -> tuple[np.ndarray, ShardCost]:
+    def _forward_degraded(self, x: np.ndarray) -> tuple[np.ndarray, StepCost]:
         """All arrays lost: float inference on the host, zero array cost."""
         if self._fallback is None:
             from repro.backend.numpy_backend import NumpyBackend
@@ -537,11 +530,9 @@ class ShardedBackend(ExecutionBackend):
             q_values, _ = self._fallback.forward_batch(x)
             sp.add_cycles(0)
         FAULTS.injector.note_degraded(x.shape[0])
-        return q_values, ShardCost(
-            backend=self.name, states=x.shape[0], macs=0, layer_cycles={},
-            shards=self.shards, shard_cycles=(0,) * self.shards,
-            critical_path_cycles=0, merge_cycles=0, critical_shard_index=0,
-            noc=self.noc,
+        return q_values, StepCost(
+            backend=self.name, states=x.shape[0], shards=self.shards,
+            shard_cycles=(0,) * self.shards, noc=self.noc,
         )
 
     def _chaos_extra(self, shard: int, base_cycles: int) -> int:
@@ -591,7 +582,7 @@ class ShardedBackend(ExecutionBackend):
         batch_size: int,
         state_shape: tuple[int, ...],
         first_trainable: int = 0,
-    ) -> ShardCost:
+    ) -> StepCost:
         """One training step across the K arrays, per shard policy.
 
         * ``sample`` — data parallel: the batch splits into K chunks,
@@ -617,7 +608,7 @@ class ShardedBackend(ExecutionBackend):
         if not alive:
             # Every array lost: training stays in host float, charging
             # the (gone) arrays nothing.
-            return ShardCost(
+            return StepCost(
                 backend=self.name, states=batch_size,
                 shards=self.shards, shard_cycles=(0,) * self.shards,
                 noc=self.noc,
@@ -913,7 +904,7 @@ class ShardedBackend(ExecutionBackend):
                 c, h, w = out_shape
         return _Priced(bill.cost(rows, critical), tuple(spans))
 
-    def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, ShardCost]:
+    def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, StepCost]:
         """One datapath forward over the batch, the schedule priced.
 
         The survivors are known before anything runs (a crash failover
@@ -955,7 +946,6 @@ class ShardedBackend(ExecutionBackend):
             layer_cycles=dict(cost.layer_cycles),
             shard_cycles=tuple(shard_cycles),
             critical_path_cycles=compute + cost.merge_cycles,
-            critical_shard_index=_argmax(shard_cycles),
             fill_drain_cycles=(
                 compute - max(shard_cycles) if self.shard == "pipeline" else 0
             ),

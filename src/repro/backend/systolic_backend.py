@@ -46,6 +46,17 @@ from repro.systolic.kernels import conv2d_gemm, fc_forward_gemm
 __all__ = ["SystolicBackend"]
 
 
+def _single_array_cost(
+    backend: str, states: int, macs: int, layer_cycles: dict[str, int]
+) -> StepCost:
+    """A cost run on one array: all of it on array 0's critical path."""
+    total = sum(layer_cycles.values())
+    return StepCost(
+        backend=backend, states=states, macs=macs, layer_cycles=layer_cycles,
+        shard_cycles=(total,), critical_path_cycles=total,
+    )
+
+
 @register_backend("systolic")
 class SystolicBackend(ExecutionBackend):
     """Quantized fixed-point inference with per-step cycle budgets.
@@ -260,9 +271,8 @@ class SystolicBackend(ExecutionBackend):
             while name in layer_cycles:
                 name += "'"
             layer_cycles[name] = layer.total_cycles
-        return StepCost(
-            backend=self.name, states=batch_size,
-            macs=step.total_macs, layer_cycles=layer_cycles,
+        return _single_array_cost(
+            self.name, batch_size, step.total_macs, layer_cycles
         )
 
     def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, StepCost]:
@@ -296,7 +306,4 @@ class SystolicBackend(ExecutionBackend):
                 # vector units — shape bookkeeping here, no MAC cycles.
                 x = layer.forward(x, training=False)
             x = self._requantize(x)
-        cost = StepCost(
-            backend=self.name, states=n, macs=total_macs, layer_cycles=layer_cycles
-        )
-        return x, cost
+        return x, _single_array_cost(self.name, n, total_macs, layer_cycles)

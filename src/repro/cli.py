@@ -445,8 +445,12 @@ def _print_fleet_faults(report) -> None:
 
 def _print_fleet_projection(args, agent, scheduler, report, projection, np):
     from repro.backend import SystolicBackend
+    from repro.fleet.scheduler import per
 
     network = agent.network
+    inference, training = report.inference, report.training
+    both = inference + training
+    steps, updates = report.total_env_steps, report.total_train_updates
     print()
     print(
         f"fleet of {report.num_envs} envs @ {report.steps_per_second:.1f} "
@@ -463,10 +467,10 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         f"NVM write load {projection.nvm_write_bits_per_second / 1e6:.2f} Mbit/s"
         f" -> endurance {projection.endurance.lifetime_years:.1f} years"
     )
-    if report.total_inference_cycles > 0:
+    if inference.total_cycles > 0:
         print(
             f"backend '{report.backend}': "
-            f"{report.cycles_per_env_step / 1e3:.1f} kcycles/env-step measured "
+            f"{per(inference.total_cycles, steps) / 1e3:.1f} kcycles/env-step measured "
             f"-> array sustains "
             f"{projection.inference_sustainable_steps_per_second:.0f} steps/s, "
             f"inference utilization {projection.inference_utilization:.4f} "
@@ -483,10 +487,10 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
             f"{q_cost.total_cycles / 1e6:.2f} Mcycles "
             f"({q_cost.array_seconds() * 1e6:.0f} us on the paper array)"
         )
-    if report.total_training_cycles > 0:
+    if training.total_cycles > 0:
         print(
             f"training on array: "
-            f"{report.training_cycles_per_update / 1e3:.1f} kcycles/update "
+            f"{per(training.total_cycles, updates) / 1e3:.1f} kcycles/update "
             f"measured -> array sustains "
             f"{projection.training_sustainable_updates_per_second:.1f} updates/s; "
             f"combined rollout+train utilization "
@@ -497,7 +501,7 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         print(
             f"sharded over {report.shards} arrays "
             f"({args.shard_policy} policy): critical path "
-            f"{report.critical_path_cycles_per_env_step / 1e3:.1f} "
+            f"{per(inference.critical_path_cycles, steps) / 1e3:.1f} "
             f"kcycles/env-step -> {report.shards}-array platform sustains "
             f"{projection.sharded_sustainable_steps_per_second:.0f} steps/s "
             f"(speedup {projection.sharding_speedup:.2f}x, scaling "
@@ -506,34 +510,34 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         print(
             f"critical shard: array {report.critical_shard_index} carried "
             f"the most cycles in "
-            f"{sum(1 for r in report.rounds if r.shards > 1 and r.critical_shard_index == report.critical_shard_index)}"
+            f"{sum(1 for r in report.rounds if r.shards > 1 and r.inference.critical_shard_index == report.critical_shard_index)}"
             f"/{sum(1 for r in report.rounds if r.shards > 1)} rounds"
         )
-        if report.total_merge_cycles > 0:
+        if both.merge_cycles > 0:
             line = (
                 f"interconnect ({args.noc} NoC): "
-                f"{report.merge_cycles_per_env_step / 1e3:.2f} "
+                f"{per(both.merge_cycles, steps) / 1e3:.2f} "
                 f"kcycles/env-step on inter-array links "
                 f"({projection.interconnect_fraction:.1%} of the "
                 f"critical path)"
             )
-            if report.total_fill_drain_cycles > 0:
+            if both.fill_drain_cycles > 0:
                 line += (
                     f"; pipeline fill/drain "
-                    f"{report.fill_drain_cycles_per_env_step / 1e3:.2f} "
+                    f"{per(both.fill_drain_cycles, steps) / 1e3:.2f} "
                     f"kcycles/env-step"
                 )
             print(line)
-        if report.total_training_cycles > 0:
+        if training.total_cycles > 0:
             print(
                 f"concurrent rollout+train on {report.shards} arrays: "
                 f"training critical path "
-                f"{report.training_critical_path_cycles_per_update / 1e3:.1f} "
+                f"{per(training.critical_path_cycles, updates) / 1e3:.1f} "
                 f"kcycles/update -> combined utilization "
                 f"{projection.sharded_combined_utilization:.4f} "
                 f"({'feasible' if projection.sharded_combined_utilization <= 1.0 else 'OVERLOADED'})"
             )
-    if report.total_inference_cycles > 0 or (
+    if inference.total_cycles > 0 or (
         args.sync_every > 1 and agent.backend.has_snapshot
     ):
         print(
@@ -565,12 +569,12 @@ def _round_payload(r) -> dict:
         "wall_seconds": r.wall_seconds,
         "steps_per_second": r.steps_per_second,
         "mean_loss": None if math.isnan(r.mean_loss) else r.mean_loss,
-        "inference_cycles": r.inference_cycles,
-        "critical_path_cycles": r.critical_path_cycles,
-        "critical_shard_index": r.critical_shard_index,
+        "inference_cycles": r.inference.total_cycles,
+        "critical_path_cycles": r.inference.critical_path_cycles,
+        "critical_shard_index": r.inference.critical_shard_index,
         "shards": r.shards,
         "sync_staleness": r.sync_staleness,
-        "training_cycles": r.training_cycles,
+        "training_cycles": r.training.total_cycles,
         "eval_sfd_by_class": r.eval_sfd_by_class,
         "faults_injected": r.faults_injected,
         "faults_detected": r.faults_detected,

@@ -17,17 +17,18 @@ replay-only updates and a greedy evaluation window, as before.
 
 Each round records wall-clock throughput (env steps/sec, episodes/sec,
 training iterations/sec) and — when the agent's execution backend
-models hardware — the per-round accelerator cycle budget its forward
-passes were charged (:class:`~repro.backend.StepCost` totals, drained
-from the agent's ledger), including the multi-array fields when the
-backend shards (:class:`~repro.backend.ShardCost`): shard count,
-critical-path cycles, and the mean weight-snapshot staleness served.
-Agents built with ``train_on_array=True`` additionally charge every
-training update the whole-network training-step cost
-(:mod:`repro.systolic.training`); the scheduler drains that second
-ledger per round too (``training_cycles`` /
-``training_cycles_per_update``), so the projection can report the
-combined rollout+training utilization of the array(s).
+models hardware — the per-round accelerator cost its forward passes
+were charged: the agent's inference ledger, a
+:class:`~repro.backend.StepCost` sum drained into
+``RoundStats.inference`` (its multi-array fields — shard count,
+critical-path, NoC and fill/drain cycles — filled when the backend
+shards), plus the mean weight-snapshot staleness served.  Agents built
+with ``train_on_array=True`` additionally charge every training update
+the whole-network training-step cost (:mod:`repro.systolic.training`);
+the scheduler drains that second ledger per round too
+(``RoundStats.training``), so the projection can report the combined
+rollout+training utilization of the array(s).  ``FleetReport`` sums
+the round ledgers with ``+``.
 :meth:`FleetScheduler.project_load` feeds the measured rates *and*
 measured cycles into :func:`repro.perf.traffic.project_fleet_load`, so
 a simulated fleet's demand maps onto the paper platform's FPS /
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backend import StepCost
 from repro.faults.injector import FAULTS
 from repro.fleet.runner import scaled_train_batch
 from repro.fleet.vec_env import VecNavigationEnv
@@ -56,20 +58,27 @@ from repro.rl.agent import QLearningAgent
 from repro.systolic.array import PAPER_ARRAY
 
 __all__ = [
+    "per",
     "RoundStats",
     "FleetReport",
     "FleetScheduler",
 ]
 
 
+def per(total: float, count: float) -> float:
+    """``total / count``, or 0.0 when nothing was counted."""
+    return total / count if count else 0.0
+
+
 @dataclass(frozen=True)
 class RoundStats:
     """Throughput and task metrics of one scheduler round.
 
-    The ``inference_*`` fields carry the accelerator cycle budget the
-    agent's execution backend charged during the round's rollout and
-    evaluation forward passes (zero under the float ``numpy`` backend,
-    which has no hardware model).
+    ``inference`` is the cost the agent's execution backend charged for
+    the round's rollout and evaluation forward passes, ``training`` the
+    cost of its on-array training updates (both zero under the float
+    ``numpy`` backend, which has no hardware model, and ``training``
+    unless the agent trains on the array).
     """
 
     round_index: int
@@ -81,35 +90,12 @@ class RoundStats:
     eval_seconds: float
     mean_loss: float
     eval_sfd_by_class: dict[str, float]
-    backend: str = "numpy"
-    inference_states: int = 0
-    inference_macs: int = 0
-    inference_cycles: int = 0
-    inference_array_seconds: float = 0.0
-    #: Arrays the backend executed on (1 unless sharded).
-    shards: int = 1
-    #: Wall-clock cycles of the (possibly parallel) backend schedule.
-    critical_path_cycles: int = 0
-    #: Index of the array the round's wall clock waited on (0 unless
-    #: sharded; argmax of the merged per-array cycle totals).
-    critical_shard_index: int = 0
+    inference: StepCost = field(default_factory=StepCost)
+    training: StepCost = field(default_factory=StepCost)
     #: Mean weight-snapshot staleness (in updates) of served states.
     sync_staleness: float = 0.0
     #: Fraction of rollout+train wall time a two-stage pipeline hides.
     pipeline_overlap_fraction: float = 0.0
-    #: Array cycles charged for this round's on-array training updates
-    #: (zero unless the agent trains on the array).
-    training_cycles: int = 0
-    training_macs: int = 0
-    training_array_seconds: float = 0.0
-    #: Wall-clock cycles of the (possibly sharded) training schedule.
-    training_critical_path_cycles: int = 0
-    #: Inter-array NoC cycles (gathers, broadcasts, stage hand-offs,
-    #: gradient reductions) this round, inference + training.
-    merge_cycles: int = 0
-    #: Pipeline fill/drain bubble cycles this round (pipeline policy
-    #: only; zero elsewhere).
-    fill_drain_cycles: int = 0
     # --- fault-injection ledger (all zero unless a chaos run) ---------
     #: Faults injected / detected / recovered during this round.
     faults_injected: int = 0
@@ -125,50 +111,39 @@ class RoundStats:
     active_shards: int = 0
 
     @property
+    def shards(self) -> int:
+        """Arrays the backend executed on (1 unless sharded)."""
+        return max(self.inference.shards, self.training.shards)
+
+    @property
     def wall_seconds(self) -> float:
         """Total wall-clock time of the round."""
         return self.rollout_seconds + self.train_seconds + self.eval_seconds
 
     @property
-    def training_cycles_per_update(self) -> float:
-        """Modelled array cycles per training update this round."""
-        return (
-            self.training_cycles / self.train_updates if self.train_updates else 0.0
-        )
-
-    @property
-    def cycles_per_env_step(self) -> float:
-        """Modelled array cycles per env step served this round."""
-        return self.inference_cycles / self.env_steps if self.env_steps else 0.0
-
-    @property
-    def critical_path_cycles_per_env_step(self) -> float:
-        """Wall-clock array cycles per env step (max over shards)."""
-        return (
-            self.critical_path_cycles / self.env_steps if self.env_steps else 0.0
-        )
-
-    @property
     def steps_per_second(self) -> float:
         """Env steps per second over the whole round."""
-        return self.env_steps / self.wall_seconds if self.wall_seconds else 0.0
+        return per(self.env_steps, self.wall_seconds)
 
     @property
     def episodes_per_second(self) -> float:
         """Completed episodes per second over the whole round."""
-        return self.episodes / self.wall_seconds if self.wall_seconds else 0.0
+        return per(self.episodes, self.wall_seconds)
 
     @property
     def train_iterations_per_second(self) -> float:
         """Training updates per second over the whole round."""
-        return (
-            self.train_updates / self.wall_seconds if self.wall_seconds else 0.0
-        )
+        return per(self.train_updates, self.wall_seconds)
 
 
 @dataclass
 class FleetReport:
-    """Aggregated outcome of a scheduler run."""
+    """Aggregated outcome of a scheduler run.
+
+    ``inference`` and ``training`` sum the rounds' cost ledgers; a rate
+    is one of their fields over ``total_env_steps`` or
+    ``total_train_updates`` (:func:`per`).
+    """
 
     num_envs: int
     config_name: str
@@ -179,6 +154,16 @@ class FleetReport:
     #: Full fault/recovery event log of a chaos run (empty otherwise);
     #: each entry is a :meth:`~repro.faults.injector.FaultRecord.as_dict`.
     fault_events: list[dict] = field(default_factory=list)
+
+    @property
+    def inference(self) -> StepCost:
+        """Backend-charged inference cost across all rounds."""
+        return sum((r.inference for r in self.rounds), StepCost())
+
+    @property
+    def training(self) -> StepCost:
+        """On-array training cost across all rounds."""
+        return sum((r.training for r in self.rounds), StepCost())
 
     @property
     def total_env_steps(self) -> int:
@@ -203,55 +188,47 @@ class FleetReport:
     @property
     def steps_per_second(self) -> float:
         """Aggregate env-step throughput."""
-        return self.total_env_steps / self.wall_seconds if self.wall_seconds else 0.0
+        return per(self.total_env_steps, self.wall_seconds)
 
     @property
     def episodes_per_second(self) -> float:
         """Aggregate episode throughput."""
-        return self.total_episodes / self.wall_seconds if self.wall_seconds else 0.0
+        return per(self.total_episodes, self.wall_seconds)
 
     @property
     def train_iterations_per_second(self) -> float:
         """Aggregate training-update throughput."""
-        return (
-            self.total_train_updates / self.wall_seconds
-            if self.wall_seconds
-            else 0.0
-        )
+        return per(self.total_train_updates, self.wall_seconds)
 
+    # --- one-line views of the ledgers -------------------------------
     @property
     def total_inference_cycles(self) -> int:
-        """Backend-charged array cycles across all rounds."""
-        return sum(r.inference_cycles for r in self.rounds)
+        return self.inference.total_cycles
 
     @property
-    def total_inference_states(self) -> int:
-        """States served by the backend across all rounds."""
-        return sum(r.inference_states for r in self.rounds)
+    def total_critical_path_cycles(self) -> int:
+        return self.inference.critical_path_cycles
 
     @property
-    def inference_array_seconds(self) -> float:
-        """Modelled array time of all backend forwards."""
-        return sum(r.inference_array_seconds for r in self.rounds)
+    def total_training_cycles(self) -> int:
+        return self.training.total_cycles
 
     @property
-    def cycles_per_env_step(self) -> float:
-        """Average modelled array cycles charged per env step."""
-        return (
-            self.total_inference_cycles / self.total_env_steps
-            if self.total_env_steps
-            else 0.0
-        )
+    def total_training_critical_path_cycles(self) -> int:
+        return self.training.critical_path_cycles
+
+    @property
+    def total_merge_cycles(self) -> int:
+        return (self.inference + self.training).merge_cycles
+
+    @property
+    def total_fill_drain_cycles(self) -> int:
+        return (self.inference + self.training).fill_drain_cycles
 
     @property
     def shards(self) -> int:
         """Arrays the backend executed on (max over rounds)."""
         return max((r.shards for r in self.rounds), default=1)
-
-    @property
-    def total_critical_path_cycles(self) -> int:
-        """Wall-clock array cycles across all rounds (max over shards)."""
-        return sum(r.critical_path_cycles for r in self.rounds)
 
     @property
     def critical_shard_index(self) -> int:
@@ -263,90 +240,17 @@ class FleetReport:
         votes: dict[int, int] = {}
         for r in self.rounds:
             if r.shards > 1:
-                votes[r.critical_shard_index] = (
-                    votes.get(r.critical_shard_index, 0) + 1
-                )
+                index = r.inference.critical_shard_index
+                votes[index] = votes.get(index, 0) + 1
         if not votes:
             return 0
         return max(sorted(votes), key=votes.__getitem__)
 
     @property
-    def critical_path_cycles_per_env_step(self) -> float:
-        """Average wall-clock array cycles per env step."""
-        return (
-            self.total_critical_path_cycles / self.total_env_steps
-            if self.total_env_steps
-            else 0.0
-        )
-
-    @property
-    def total_merge_cycles(self) -> int:
-        """Inter-array NoC cycles across all rounds."""
-        return sum(r.merge_cycles for r in self.rounds)
-
-    @property
-    def total_fill_drain_cycles(self) -> int:
-        """Pipeline fill/drain bubble cycles across all rounds."""
-        return sum(r.fill_drain_cycles for r in self.rounds)
-
-    @property
-    def merge_cycles_per_env_step(self) -> float:
-        """Average NoC cycles per env step served."""
-        return (
-            self.total_merge_cycles / self.total_env_steps
-            if self.total_env_steps
-            else 0.0
-        )
-
-    @property
-    def fill_drain_cycles_per_env_step(self) -> float:
-        """Average pipeline bubble cycles per env step served."""
-        return (
-            self.total_fill_drain_cycles / self.total_env_steps
-            if self.total_env_steps
-            else 0.0
-        )
-
-    @property
-    def total_training_cycles(self) -> int:
-        """On-array training cycles across all rounds."""
-        return sum(r.training_cycles for r in self.rounds)
-
-    @property
-    def total_training_critical_path_cycles(self) -> int:
-        """Wall-clock training cycles across all rounds (max over shards)."""
-        return sum(r.training_critical_path_cycles for r in self.rounds)
-
-    @property
-    def training_array_seconds(self) -> float:
-        """Modelled array time of all on-array training updates."""
-        return sum(r.training_array_seconds for r in self.rounds)
-
-    @property
-    def training_cycles_per_update(self) -> float:
-        """Average array cycles charged per training update."""
-        return (
-            self.total_training_cycles / self.total_train_updates
-            if self.total_train_updates
-            else 0.0
-        )
-
-    @property
-    def training_critical_path_cycles_per_update(self) -> float:
-        """Average wall-clock training cycles per update."""
-        return (
-            self.total_training_critical_path_cycles / self.total_train_updates
-            if self.total_train_updates
-            else 0.0
-        )
-
-    @property
     def mean_sync_staleness(self) -> float:
         """Env-step-weighted mean staleness of the served weight snapshot."""
-        if self.total_env_steps == 0:
-            return 0.0
         weighted = sum(r.sync_staleness * r.env_steps for r in self.rounds)
-        return weighted / self.total_env_steps
+        return per(weighted, self.total_env_steps)
 
     @property
     def pipeline_overlap_fraction(self) -> float:
@@ -416,9 +320,7 @@ class FleetReport:
     @property
     def degraded_fraction(self) -> float:
         """Fraction of served states that fell back to degraded numpy."""
-        if self.total_inference_states == 0:
-            return 0.0
-        return self.total_degraded_states / self.total_inference_states
+        return per(self.total_degraded_states, self.inference.states)
 
 
 class FleetScheduler:
@@ -717,26 +619,10 @@ class FleetScheduler:
                     eval_seconds=eval_wall,
                     mean_loss=float(np.mean(losses)) if losses else float("nan"),
                     eval_sfd_by_class=eval_sfd,
-                    backend=cost.backend,
-                    inference_states=cost.states,
-                    inference_macs=cost.macs,
-                    inference_cycles=cost.total_cycles,
-                    inference_array_seconds=cost.array_seconds(self._array_config),
-                    shards=max(cost.shards, train_cost.shards),
-                    critical_path_cycles=cost.critical_path_cycles,
-                    critical_shard_index=cost.critical_shard_index,
+                    inference=cost,
+                    training=train_cost,
                     sync_staleness=staleness,
                     pipeline_overlap_fraction=overlap,
-                    training_cycles=train_cost.total_cycles,
-                    training_macs=train_cost.macs,
-                    training_array_seconds=train_cost.array_seconds(
-                        self._array_config
-                    ),
-                    training_critical_path_cycles=train_cost.critical_path_cycles,
-                    merge_cycles=cost.merge_cycles + train_cost.merge_cycles,
-                    fill_drain_cycles=(
-                        cost.fill_drain_cycles + train_cost.fill_drain_cycles
-                    ),
                     faults_injected=fault["injected"] if fault else 0,
                     faults_detected=fault["detected"] if fault else 0,
                     faults_recovered=fault["recovered"] if fault else 0,
@@ -817,7 +703,8 @@ class FleetScheduler:
         would print a nonsense utilization/endurance instead of
         surfacing the problem.
         """
-        if report.total_train_updates == 0:
+        steps, updates = report.total_env_steps, report.total_train_updates
+        if updates == 0:
             raise ValueError(
                 "report measured zero training iterations; run more "
                 "steps per round (the fleet needs train_batch "
@@ -827,22 +714,26 @@ class FleetScheduler:
             from repro.nn.alexnet import modified_alexnet_spec
 
             simulator = TrafficSimulator(modified_alexnet_spec(), self.agent.config)
+        inference, training = report.inference, report.training
+        both = inference + training
         return project_fleet_load(
             simulator,
             num_envs=self.vec_env.num_envs,
             batch_size=self.train_batch,
             steps_per_second=report.steps_per_second,
             train_iterations_per_second=report.train_iterations_per_second,
-            inference_cycles_per_step=report.cycles_per_env_step,
+            inference_cycles_per_step=per(inference.total_cycles, steps),
             array=self._array_config,
             shards=report.shards,
-            critical_path_cycles_per_step=report.critical_path_cycles_per_env_step,
-            training_cycles_per_update=report.training_cycles_per_update,
-            training_critical_path_cycles_per_update=(
-                report.training_critical_path_cycles_per_update
+            critical_path_cycles_per_step=per(
+                inference.critical_path_cycles, steps
+            ),
+            training_cycles_per_update=per(training.total_cycles, updates),
+            training_critical_path_cycles_per_update=per(
+                training.critical_path_cycles, updates
             ),
             availability=report.availability,
             degraded_fraction=report.degraded_fraction,
-            interconnect_cycles_per_step=report.merge_cycles_per_env_step,
-            fill_drain_cycles_per_step=report.fill_drain_cycles_per_env_step,
+            interconnect_cycles_per_step=per(both.merge_cycles, steps),
+            fill_drain_cycles_per_step=per(both.fill_drain_cycles, steps),
         )

@@ -3,8 +3,8 @@
 The cycle oracles (``systolic/cycles.py`` row-stationary and FC tile
 schedules, ``systolic/training.py`` whole-network training cost) are
 pure functions of a small hashable geometry signature, yet the hot
-loops — agent forward batches, scheduler train steps, ``ShardCost``
-merge accounting — re-derive the same algebra every update.  A fleet
+loops — agent forward batches, scheduler train steps, sharded
+pricing — re-derive the same algebra every update.  A fleet
 round asks for the cost of the *same* layer stack at the *same* batch
 size thousands of times; after the first answer, every other call
 should pay a dict lookup.

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import (
-    ExecutionBackend,
-    NumpyBackend,
-    StepCost,
-    StepCostAccumulator,
-    WeightBus,
-    merge_step_costs,
-)
+from repro.backend import ExecutionBackend, NumpyBackend, StepCost, WeightBus
 from repro.env.episode import Transition
 from repro.faults.injector import FAULTS
 from repro.nn.losses import q_learning_loss
@@ -185,12 +178,11 @@ class QLearningAgent:
             raise ValueError("backend must wrap the agent's own network")
         self.backend = backend or NumpyBackend(network)
         self.weight_bus = WeightBus(self.backend, sync_every=sync_every)
-        # Streaming ledgers: each record folds in once and the
-        # scheduler's per-phase cycle peeks read a running total in
-        # O(1), instead of re-merging an ever-growing record list.
-        self._pending_costs = StepCostAccumulator(self.backend.name)
+        # Running ledgers: each record is added once, so a ledger is
+        # the sum of the costs charged since its last drain.
+        self._pending_costs = StepCost(backend=self.backend.name)
         self.train_on_array = train_on_array
-        self._pending_train_costs = StepCostAccumulator(self.backend.name)
+        self._pending_train_costs = StepCost(backend=self.backend.name)
         # The closed-form training cost is a pure function of
         # (batch, state shape, boundary) — memoise it per geometry so
         # charging every update costs a dict lookup, not a layer walk.
@@ -249,7 +241,7 @@ class QLearningAgent:
             )
         if FAULTS.enabled:
             q_values, cost = self._guard_q_values(states, q_values, cost)
-        self._pending_costs.add(cost)
+        self._pending_costs = self._pending_costs + cost
         return q_values
 
     def _guard_q_values(
@@ -263,8 +255,8 @@ class QLearningAgent:
         blown-up weight rails the output instead of producing NaN).
         On detection the agent forces a weight-bus flip — a fresh
         download from the float staging weights — and recomputes; the
-        recompute's cycles are charged as recovery overhead and merged
-        into the step's cost.
+        recompute's cycles are charged as recovery overhead and added
+        to the step's cost.
         """
         fmt = getattr(self.backend, "activation_format", None)
         bad = not bool(np.all(np.isfinite(q_values)))
@@ -295,7 +287,7 @@ class QLearningAgent:
             self.weight_bus.flip()
             q_values, recompute = self.backend.forward_batch(states)
         inj.add_recovery_cycles(recompute.total_cycles)
-        cost = merge_step_costs([cost, recompute], backend=self.backend.name)
+        cost = cost + recompute
         recovered = bool(np.all(np.isfinite(q_values)))
         if recovered and fmt is not None and getattr(self.backend, "quantized", False):
             recovered = not bool(
@@ -312,8 +304,7 @@ class QLearningAgent:
 
         A read-only peek (nothing is drained): the fleet scheduler's
         phase spans difference it around each phase to attribute the
-        modelled cycle budget to rollout vs evaluation.  O(1) — the
-        accumulator keeps a running total.
+        modelled cycle budget to rollout vs evaluation.
         """
         return self._pending_costs.total_cycles
 
@@ -327,7 +318,10 @@ class QLearningAgent:
         Clears the ledger; the fleet scheduler calls this once per round
         to thread per-round cycle budgets into its report.
         """
-        return self._pending_costs.drain()
+        cost, self._pending_costs = (
+            self._pending_costs, StepCost(backend=self.backend.name)
+        )
+        return cost
 
     def drain_training_cost(self) -> StepCost:
         """Accumulated on-array training :class:`StepCost` since last drain.
@@ -336,7 +330,10 @@ class QLearningAgent:
         ``train_on_array=True`` and has trained; the fleet scheduler
         drains it per round alongside the inference ledger.
         """
-        return self._pending_train_costs.drain()
+        cost, self._pending_train_costs = (
+            self._pending_train_costs, StepCost(backend=self.backend.name)
+        )
+        return cost
 
     def select_action(self, state: np.ndarray, greedy: bool = False) -> int:
         """Epsilon-greedy action selection (greedy leg via the backend)."""
@@ -481,7 +478,7 @@ class QLearningAgent:
                         )
                         self._train_cost_cache[key] = cost
                 sp.add_cycles(cost.total_cycles)
-                self._pending_train_costs.add(cost)
+                self._pending_train_costs = self._pending_train_costs + cost
         if PROBE.enabled:
             PROBE.count(
                 "repro_agent_train_updates_total",

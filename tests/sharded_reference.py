@@ -23,8 +23,8 @@ import time
 
 import numpy as np
 
-from repro.backend.base import ShardCost
-from repro.backend.sharded import _argmax, _pipeline_schedule
+from repro.backend.base import StepCost
+from repro.backend.sharded import _pipeline_schedule
 from repro.backend.systolic_backend import SystolicBackend
 from repro.faults.injector import FAULTS
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
@@ -57,7 +57,7 @@ def _ship(backend, elements: int, src: int, dst: int) -> tuple[int, int]:
     )
 
 
-def reference_forward(backend, states: np.ndarray) -> tuple[np.ndarray, ShardCost]:
+def reference_forward(backend, states: np.ndarray) -> tuple[np.ndarray, StepCost]:
     """Execute ``backend``'s sample or pipeline schedule piece by piece."""
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 4:
@@ -108,11 +108,10 @@ def _forward_sample(backend, x):
             merge_hops += hops
     q_values = np.concatenate(outputs, axis=0)
     critical = max(shard_cycles) + merge
-    return q_values, ShardCost(
+    return q_values, StepCost(
         backend=backend.name, states=n, macs=macs, layer_cycles=layer_cycles,
         shards=backend.shards, shard_cycles=tuple(shard_cycles),
         critical_path_cycles=critical, merge_cycles=merge,
-        critical_shard_index=_argmax(shard_cycles),
         merge_hops=merge_hops, noc=backend.noc,
     )
 
@@ -207,11 +206,10 @@ def _forward_pipeline(backend, x):
             critical_compute += extra
     fill_drain = critical_compute - max(shard_cycles)
     critical = critical_compute + merge
-    return q_values, ShardCost(
+    return q_values, StepCost(
         backend=backend.name, states=n, macs=macs, layer_cycles=layer_cycles,
         shards=backend.shards, shard_cycles=tuple(shard_cycles),
         critical_path_cycles=critical, merge_cycles=merge,
-        critical_shard_index=_argmax(shard_cycles),
         merge_hops=merge_hops, fill_drain_cycles=fill_drain,
         noc=backend.noc,
     )
@@ -219,7 +217,7 @@ def _forward_pipeline(backend, x):
 
 def reference_train_cost(
     backend, batch_size: int, state_shape, first_trainable: int = 0
-) -> ShardCost:
+) -> StepCost:
     """The sample / pipeline training schedules, walked literally."""
     alive = (
         [k for k in range(backend.shards) if k not in FAULTS.injector.dead_shards]
@@ -227,7 +225,7 @@ def reference_train_cost(
         else list(range(backend.shards))
     )
     if not alive:
-        return ShardCost(
+        return StepCost(
             backend=backend.name, states=batch_size,
             shards=backend.shards, shard_cycles=(0,) * backend.shards,
             noc=backend.noc,
@@ -278,12 +276,11 @@ def _train_cost_sample(backend, batch_size, state_shape, first_trainable, alive)
         merge += cycles
         merge_hops += hops
     critical = max(shard_cycles) + merge
-    return ShardCost(
+    return StepCost(
         backend=backend.name, states=batch_size, macs=macs,
         layer_cycles=layer_cycles, shards=backend.shards,
         shard_cycles=tuple(shard_cycles),
         critical_path_cycles=critical, merge_cycles=merge,
-        critical_shard_index=_argmax(shard_cycles),
         merge_hops=merge_hops, noc=backend.noc,
     )
 
@@ -354,12 +351,11 @@ def _train_cost_pipeline(backend, batch_size, state_shape, first_trainable, aliv
             merge_hops += hops
     fill_drain = critical_compute - max(shard_cycles)
     critical = critical_compute + merge
-    return ShardCost(
+    return StepCost(
         backend=backend.name, states=batch_size, macs=macs,
         layer_cycles=layer_cycles, shards=backend.shards,
         shard_cycles=tuple(shard_cycles),
         critical_path_cycles=critical, merge_cycles=merge,
-        critical_shard_index=_argmax(shard_cycles),
         merge_hops=merge_hops, fill_drain_cycles=fill_drain,
         noc=backend.noc,
     )
@@ -496,11 +492,10 @@ def _forward_layer(backend, x):
                 critical += extra
     shipped = [_ship(backend, *transfer) for transfer in transfers]
     merge = sum(cycles for cycles, _hops in shipped)
-    return h, ShardCost(
+    return h, StepCost(
         backend=backend.name, states=n, macs=macs, layer_cycles=layer_cycles,
         shards=backend.shards, shard_cycles=tuple(shard_cycles),
         critical_path_cycles=critical + merge, merge_cycles=merge,
-        critical_shard_index=_argmax(shard_cycles),
         merge_hops=sum(hops for _cycles, hops in shipped), noc=backend.noc,
     )
 
@@ -565,11 +560,10 @@ def _train_cost_layer(backend, batch_size, state_shape, first_trainable, alive):
             transfers += [(in_elements, arrays[0], k) for k in below]
     shipped = [_ship(backend, *transfer) for transfer in transfers]
     merge = sum(cycles for cycles, _hops in shipped)
-    return ShardCost(
+    return StepCost(
         backend=backend.name, states=batch_size, macs=macs,
         layer_cycles=layer_cycles, shards=backend.shards,
         shard_cycles=tuple(shard_cycles),
         critical_path_cycles=critical + merge, merge_cycles=merge,
-        critical_shard_index=_argmax(shard_cycles),
         merge_hops=sum(hops for _cycles, hops in shipped), noc=backend.noc,
     )

@@ -24,7 +24,6 @@ from repro.backend import (
     StepCost,
     SystolicBackend,
     make_backend,
-    merge_step_costs,
 )
 from repro.fixedpoint import Q8_8
 from repro.fleet import FleetScheduler, VecNavigationEnv
@@ -94,7 +93,7 @@ class TestStepCost:
                      layer_cycles={"CONV1": 100, "FC1": 50})
         b = StepCost(backend="systolic", states=2, macs=5,
                      layer_cycles={"FC1": 25})
-        merged = merge_step_costs([a, b])
+        merged = a + b
         assert merged.total_cycles == 175
         assert merged.states == 6
         assert merged.macs == 15
@@ -103,21 +102,22 @@ class TestStepCost:
         assert a.array_seconds() == pytest.approx(150 / 1e9)
 
     def test_empty_merge_is_zero(self):
-        zero = merge_step_costs([], backend="numpy")
+        zero = sum([], StepCost(backend="numpy"))
         assert zero.total_cycles == 0 and zero.states == 0
 
     def test_empty_merge_is_plain_stepcost(self):
         # No records means nothing sharded: the zero cost is a plain
         # StepCost with no shard geometry to mislead downstream code.
-        zero = merge_step_costs([])
+        zero = sum([], StepCost())
         assert type(zero) is StepCost
         assert zero.backend == "" and zero.macs == 0
         assert zero.layer_cycles == {}
+        assert zero.shards == 1 and zero.shard_cycles == ()
 
     def test_singleton_merge_preserves_the_record(self):
         cost = StepCost(backend="systolic", states=4, macs=10,
                         layer_cycles={"CONV1": 100, "FC1": 50})
-        merged = merge_step_costs([cost])
+        merged = StepCost() + cost
         assert type(merged) is StepCost
         assert merged.total_cycles == cost.total_cycles
         assert merged.states == cost.states
@@ -126,14 +126,12 @@ class TestStepCost:
         assert merged.backend == cost.backend
 
     def test_singleton_shardcost_merge_preserves_geometry(self):
-        from repro.backend import ShardCost
-
-        cost = ShardCost(backend="sharded", states=4, macs=10,
-                         layer_cycles={"CONV1": 90, "FC1": 30},
-                         shards=3, shard_cycles=(60, 40, 20),
-                         merge_cycles=7)
-        merged = merge_step_costs([cost])
-        assert isinstance(merged, ShardCost)
+        cost = StepCost(backend="sharded", states=4, macs=10,
+                        layer_cycles={"CONV1": 90, "FC1": 30},
+                        shards=3, shard_cycles=(60, 40, 20),
+                        merge_cycles=7)
+        merged = StepCost() + cost
+        assert merged == cost
         assert merged.shards == 3
         assert merged.shard_cycles == (60, 40, 20)
         assert merged.merge_cycles == 7
@@ -318,14 +316,13 @@ class TestTrainCost:
         assert 0 < partial.total_cycles < e2e.total_cycles
 
     def test_sharded_train_cost_splits_the_batch(self):
-        from repro.backend import ShardCost, ShardedBackend
+        from repro.backend import ShardedBackend
 
         net = make_net()
         single = SystolicBackend(net).train_cost(8, (1, SIDE, SIDE))
         cost = ShardedBackend(net, shards=4, shard="sample").train_cost(
             8, (1, SIDE, SIDE)
         )
-        assert isinstance(cost, ShardCost)
         assert cost.shards == 4 and len(cost.shard_cycles) == 4
         # Gradient all-reduce: 3 non-root arrays ship every trainable
         # element once.
@@ -464,19 +461,17 @@ class TestFleetThreading:
         report = scheduler.run(rounds=2, steps_per_round=20)
         assert report.backend == "systolic"
         for stats in report.rounds:
-            assert stats.backend == "systolic"
-            assert stats.inference_cycles > 0
-            assert stats.inference_states > 0
-            assert stats.inference_macs > 0
-            assert stats.inference_array_seconds > 0
-            assert stats.cycles_per_env_step > 0
+            assert stats.inference.backend == "systolic"
+            assert stats.inference.total_cycles > 0
+            assert stats.inference.states > 0
+            assert stats.inference.macs > 0
+            assert stats.inference.array_seconds() > 0
         assert report.total_inference_cycles == sum(
-            r.inference_cycles for r in report.rounds
+            r.inference.total_cycles for r in report.rounds
         )
-        assert report.cycles_per_env_step > 0
         projection = scheduler.project_load(report)
         assert projection.inference_cycles_per_step == pytest.approx(
-            report.cycles_per_env_step
+            report.total_inference_cycles / report.total_env_steps
         )
         assert projection.inference_step_latency_s > 0
         assert projection.inference_sustainable_steps_per_second < float("inf")
@@ -496,13 +491,9 @@ class TestFleetThreading:
         )
         scheduler = FleetScheduler(agent, self.make_fleet(), train_every=2)
         report = scheduler.run(rounds=1, steps_per_round=20)
-        stats = report.rounds[0]
-        assert stats.inference_array_seconds == pytest.approx(
-            stats.inference_cycles / 5e8
-        )
         projection = scheduler.project_load(report)
         assert projection.inference_step_latency_s == pytest.approx(
-            report.cycles_per_env_step / 5e8
+            report.total_inference_cycles / report.total_env_steps / 5e8
         )
 
     def test_numpy_backend_rounds_have_zero_budget(self):

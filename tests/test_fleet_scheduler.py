@@ -4,6 +4,7 @@ projection of measured fleet load."""
 import numpy as np
 import pytest
 
+from repro.backend import StepCost
 from repro.cli import main
 from repro.fleet import (
     FleetScheduler,
@@ -194,9 +195,9 @@ class TestFleetScheduler:
         report = scheduler.run(rounds=1, steps_per_round=10)
         # Round 0 of the new run carries exactly its own states: 10
         # greedy fleet steps over 4 envs.
-        assert report.rounds[0].inference_states == 10 * 4
+        assert report.rounds[0].inference.states == 10 * 4
         # ... and exactly its own training charges.
-        assert report.rounds[0].training_cycles == (
+        assert report.rounds[0].training.total_cycles == (
             report.rounds[0].train_updates
             * agent.backend.train_cost(
                 scheduler.train_batch, (1, SIDE, SIDE),
@@ -242,7 +243,7 @@ class TestFleetScheduler:
             FAULTS.deactivate()
         report = scheduler.run(rounds=1, steps_per_round=10)
         # Round 0 of the clean re-run carries exactly its own states.
-        assert report.rounds[0].inference_states == 10 * 4
+        assert report.rounds[0].inference.states == 10 * 4
         assert report.rounds[0].faults_injected == 0
         assert report.fault_events == []
 
@@ -270,13 +271,16 @@ class TestFleetScheduler:
             first_trainable=agent.first_trainable,
         ).total_cycles
         for stats in report.rounds:
-            assert stats.training_cycles == stats.train_updates * per_update
-            assert stats.training_macs > 0
-            assert stats.training_array_seconds == pytest.approx(
-                stats.training_cycles / 1e9
+            training = stats.training
+            assert training.total_cycles == stats.train_updates * per_update
+            assert training.macs > 0
+            assert training.array_seconds() == pytest.approx(
+                training.total_cycles / 1e9
             )
-            assert stats.training_critical_path_cycles == stats.training_cycles
-        assert report.training_cycles_per_update == pytest.approx(per_update)
+            assert training.critical_path_cycles == training.total_cycles
+        assert report.total_training_cycles == pytest.approx(
+            per_update * report.total_train_updates
+        )
         projection = scheduler.project_load(report)
         assert projection.training_cycles_per_update == pytest.approx(per_update)
         assert projection.training_update_latency_s == pytest.approx(
@@ -298,7 +302,7 @@ class TestFleetScheduler:
         scheduler = FleetScheduler(agent, make_fleet(4), train_every=2)
         report = scheduler.run(rounds=1, steps_per_round=20)
         assert report.total_training_cycles == 0
-        assert report.training_cycles_per_update == 0.0
+        assert report.training == StepCost(backend=agent.backend.name)
         projection = scheduler.project_load(report)
         assert projection.training_cycles_per_update == 0.0
         assert projection.training_sustainable_updates_per_second == float(
@@ -334,7 +338,10 @@ class TestFleetScheduler:
         )
         projection = scheduler.project_load(report)
         assert projection.training_critical_path_cycles_per_update == (
-            pytest.approx(report.training_critical_path_cycles_per_update)
+            pytest.approx(
+                report.total_training_critical_path_cycles
+                / report.total_train_updates
+            )
         )
         assert projection.sharded_combined_utilization > (
             projection.sharded_utilization

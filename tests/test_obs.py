@@ -391,8 +391,7 @@ def _fingerprint(report):
     return [
         (
             r.env_steps, r.episodes, r.train_updates, r.mean_loss,
-            r.inference_cycles, r.training_cycles,
-            r.critical_path_cycles, r.critical_shard_index,
+            r.inference, r.training,
             r.shards, r.sync_staleness, tuple(sorted(r.eval_sfd_by_class.items())),
         )
         for r in report.rounds

@@ -1,18 +1,13 @@
-"""Memoised cost oracles and the O(K) step-cost accumulator.
+"""Memoised cost oracles and the running step-cost ledger.
 
 Covers the memoisation layer's hit/miss counters, its recompute bypass
-and metrics export (:mod:`repro.parallel.memo`), plus
-:class:`StepCostAccumulator` against :func:`merge_step_costs`.
+and metrics export (:mod:`repro.parallel.memo`), plus the ``+`` fold
+the agent's ledgers run against a field-by-field list merge.
 """
 
 import pytest
 
-from repro.backend import (
-    ShardCost,
-    StepCost,
-    StepCostAccumulator,
-    merge_step_costs,
-)
+from repro.backend import StepCost
 from repro.nn import build_network, scaled_drone_net_spec
 from repro.obs import MetricsRegistry, observed
 from repro.parallel import (
@@ -106,26 +101,52 @@ def _plain(states, cycles, macs):
     return StepCost(
         backend="systolic", states=states, macs=macs,
         layer_cycles={"conv1": cycles},
+        shard_cycles=(cycles,), critical_path_cycles=cycles,
     )
 
 
 def _sharded(states, per_array, merge=7):
-    return ShardCost(
+    return StepCost(
         backend="sharded", states=states, macs=states * 10,
         layer_cycles={"conv1": sum(per_array)}, shards=len(per_array),
         shard_cycles=tuple(per_array),
         critical_path_cycles=max(per_array) + merge, merge_cycles=merge,
-        critical_shard_index=max(
-            range(len(per_array)), key=per_array.__getitem__
+        noc="ring",
+    )
+
+
+def merge_step_costs(costs, backend=""):
+    """Reference list merge, written field by field: what a run of
+    records must sum to."""
+    width = max((len(c.shard_cycles) for c in costs), default=0)
+    return StepCost(
+        backend=backend or next((c.backend for c in costs if c.backend), ""),
+        states=sum(c.states for c in costs),
+        macs=sum(c.macs for c in costs),
+        layer_cycles={
+            name: sum(c.layer_cycles.get(name, 0) for c in costs)
+            for c in costs for name in c.layer_cycles
+        },
+        shards=max((c.shards for c in costs), default=1),
+        shard_cycles=tuple(
+            sum(c.shard_cycles[i] for c in costs if i < len(c.shard_cycles))
+            for i in range(width)
         ),
+        critical_path_cycles=sum(c.critical_path_cycles for c in costs),
+        merge_cycles=sum(c.merge_cycles for c in costs),
+        merge_hops=sum(c.merge_hops for c in costs),
+        fill_drain_cycles=sum(c.fill_drain_cycles for c in costs),
+        noc=next((c.noc for c in reversed(costs) if c.noc != "flat"), "flat"),
     )
 
 
 class TestStepCostAccumulator:
+    """The agent's running ledger: ``ledger = ledger + cost``."""
+
     SEQUENCES = {
         "plain_only": [_plain(4, 100, 40), _plain(2, 60, 20)],
         "sharded_only": [_sharded(8, (50, 80, 20)), _sharded(4, (30, 10, 90))],
-        # A plain record *before* the first ShardCost must still charge
+        # A plain record *before* the first sharded one must still charge
         # array 0 of the merged sharded total.
         "plain_then_sharded": [_plain(4, 100, 40), _sharded(8, (50, 80, 20))],
         "sharded_then_plain": [_sharded(8, (50, 80, 20)), _plain(4, 100, 40)],
@@ -135,19 +156,23 @@ class TestStepCostAccumulator:
     @pytest.mark.parametrize("name", sorted(SEQUENCES))
     def test_matches_merge_step_costs(self, name):
         costs = self.SEQUENCES[name]
-        acc = StepCostAccumulator()
+        acc = StepCost()
         for c in costs:
-            acc.add(c)
-        assert acc.merge() == merge_step_costs(list(costs))
+            acc = acc + c
+        assert acc == merge_step_costs(list(costs))
 
     def test_total_cycles_peek_and_drain(self):
-        acc = StepCostAccumulator("sharded")
-        acc.add(_sharded(8, (50, 80, 20)))
-        acc.add(_plain(4, 100, 40))
-        assert acc.total_cycles == merge_step_costs(
+        from repro.rl import QLearningAgent, config_by_name
+
+        agent = QLearningAgent(make_net(), config=config_by_name("L4"))
+        agent._pending_costs = agent._pending_costs + _sharded(8, (50, 80, 20))
+        agent._pending_costs = agent._pending_costs + _plain(4, 100, 40)
+        assert agent.pending_inference_cycles() == merge_step_costs(
             [_sharded(8, (50, 80, 20)), _plain(4, 100, 40)]
         ).total_cycles
-        merged = acc.drain()
-        assert isinstance(merged, ShardCost)
-        assert len(acc) == 0
-        assert acc.drain() == merge_step_costs([], backend="sharded")
+        merged = agent.drain_inference_cost()
+        assert merged.shards == 3 and merged.shard_cycles == (150, 80, 20)
+        assert agent.pending_inference_cycles() == 0
+        assert agent.drain_inference_cost() == merge_step_costs(
+            [], backend="numpy"
+        )

@@ -7,9 +7,9 @@ Contracts under test:
   K in {1, 2, 4} and uneven batch sizes — splitting a batch or slicing
   an output dimension must not change one bit of the fixed-point
   datapath's results;
-* ``ShardCost`` separates work (summed layer cycles) from wall-clock
-  (critical path = slowest array + merge traffic), and merged records
-  accumulate critical paths serially;
+* a sharded ``StepCost`` separates work (summed layer cycles) from
+  wall-clock (critical path = slowest array + merge traffic), and
+  summed records accumulate critical paths serially;
 * every policy's price equals the executing reference
   (``tests/sharded_reference.py``) field for field — forward and
   training, with arrays killed and chaos stretching the schedule —
@@ -28,13 +28,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.backend import (
     BACKENDS,
-    ShardCost,
     ShardedBackend,
     StepCost,
     SystolicBackend,
     WeightBus,
     make_backend,
-    merge_step_costs,
 )
 from repro.faults import FaultPlan, chaos
 from repro.fleet import FleetScheduler, VecNavigationEnv
@@ -281,30 +279,29 @@ class TestShardCost:
             assert cost.critical_shard_index == slowest, policy
 
     def test_critical_shard_index_ties_go_to_lowest(self):
-        cost = ShardCost(
+        cost = StepCost(
             backend="sharded", states=4, layer_cycles={"FC1": 60},
             shards=3, shard_cycles=(20, 25, 25),
             critical_path_cycles=30, merge_cycles=5,
-            critical_shard_index=1,
         )
-        merged = merge_step_costs([cost, cost])
+        assert cost.critical_shard_index == 1
+        merged = cost + cost
         # (40, 50, 50): arrays 1 and 2 tie; the recompute picks 1.
         assert merged.critical_shard_index == 1
 
     def test_merge_recomputes_critical_shard_from_merged_totals(self):
-        a = ShardCost(
+        a = StepCost(
             backend="sharded", states=2, layer_cycles={"FC1": 50},
             shards=2, shard_cycles=(10, 40),
             critical_path_cycles=45, merge_cycles=5,
-            critical_shard_index=1,
         )
-        b = ShardCost(
+        b = StepCost(
             backend="sharded", states=2, layer_cycles={"FC1": 60},
             shards=2, shard_cycles=(50, 10),
             critical_path_cycles=55, merge_cycles=5,
-            critical_shard_index=0,
         )
-        merged = merge_step_costs([a, b])
+        assert (a.critical_shard_index, b.critical_shard_index) == (1, 0)
+        merged = a + b
         # Merged totals (60, 50): array 0 carried the most overall even
         # though each input named a different slowest array.
         assert merged.critical_shard_index == 0
@@ -314,18 +311,17 @@ class TestShardCost:
         assert cost.critical_shard_index == 0
 
     def test_merge_accumulates_critical_paths_serially(self):
-        a = ShardCost(
+        a = StepCost(
             backend="sharded", states=4, macs=10,
             layer_cycles={"CONV1": 100}, shards=2, shard_cycles=(60, 40),
             critical_path_cycles=70, merge_cycles=10,
         )
-        b = ShardCost(
+        b = StepCost(
             backend="sharded", states=2, macs=5,
             layer_cycles={"CONV1": 50}, shards=2, shard_cycles=(25, 25),
             critical_path_cycles=30, merge_cycles=5,
         )
-        merged = merge_step_costs([a, b])
-        assert isinstance(merged, ShardCost)
+        merged = a + b
         assert merged.shards == 2
         assert merged.shard_cycles == (85, 65)
         assert merged.critical_path_cycles == 100
@@ -333,23 +329,32 @@ class TestShardCost:
         assert merged.total_cycles == 150
 
     def test_merge_mixes_plain_costs_onto_array_zero(self):
-        plain = StepCost(backend="systolic", states=1, layer_cycles={"FC1": 20})
-        shard = ShardCost(
+        # A single-array record, as SystolicBackend builds it.
+        plain = StepCost(
+            backend="systolic", states=1, layer_cycles={"FC1": 20},
+            shard_cycles=(20,), critical_path_cycles=20,
+        )
+        shard = StepCost(
             backend="sharded", states=2, layer_cycles={"FC1": 30},
             shards=2, shard_cycles=(18, 12),
             critical_path_cycles=20, merge_cycles=2,
         )
-        merged = merge_step_costs([plain, shard])
-        assert isinstance(merged, ShardCost)
+        merged = plain + shard
+        assert merged.shards == 2
         assert merged.shard_cycles == (38, 12)
         # The plain record's cycles are its own critical path.
         assert merged.critical_path_cycles == 40
 
-    def test_plain_cost_exposes_single_array_view(self):
-        cost = StepCost(backend="systolic", states=2, layer_cycles={"FC1": 9})
-        assert cost.shards == 1
-        assert cost.critical_path_cycles == cost.total_cycles == 9
-        assert cost.merge_cycles == 0
+    def test_plain_cost_exposes_single_array_view(self, rng):
+        states = rng.uniform(0, 1, size=(2, 1, SIDE, SIDE))
+        for cost in (
+            SystolicBackend(make_net()).forward_batch(states)[1],
+            SystolicBackend(make_net()).train_cost(2, (1, SIDE, SIDE)),
+        ):
+            assert cost.shards == 1
+            assert cost.critical_path_cycles == cost.total_cycles > 0
+            assert cost.shard_cycles == (cost.total_cycles,)
+            assert cost.merge_cycles == 0
 
 
 class TestWeightBus:
@@ -743,18 +748,18 @@ class TestModelParallelTraining:
         ) == expected
 
     def test_train_cost_merge_survives_accumulation(self):
-        """The new ShardCost fields flow through merge_step_costs."""
-        a = ShardCost(
+        """The NoC and pipeline fields flow through ``+``."""
+        a = StepCost(
             backend="sharded", states=4, layer_cycles={"FC1": 100},
             shards=2, shard_cycles=(60, 40), critical_path_cycles=70,
             merge_cycles=10, merge_hops=30, fill_drain_cycles=5, noc="ring",
         )
-        b = ShardCost(
+        b = StepCost(
             backend="sharded", states=4, layer_cycles={"FC1": 80},
             shards=2, shard_cycles=(40, 40), critical_path_cycles=50,
             merge_cycles=10, merge_hops=30, fill_drain_cycles=3, noc="ring",
         )
-        merged = merge_step_costs([a, b])
+        merged = a + b
         assert merged.merge_hops == 60
         assert merged.fill_drain_cycles == 8
         assert merged.noc == "ring"
@@ -811,7 +816,7 @@ class TestPlanThenPrice:
             reference_train_cost(b, batch, (1, SIDE, SIDE), first_trainable),
         ))
         (q, cost), (ref_q, ref_cost) = forward, ref_forward
-        # Every ShardCost field, and the fault ledger, match the
+        # Every StepCost field, and the fault ledger, match the
         # executed schedule.
         assert cost == ref_cost
         assert train == ref_train
@@ -893,6 +898,7 @@ class TestStalenessRegression:
         assert 0.0 < report.mean_sync_staleness < 4.0
         for stats in report.rounds:
             assert stats.shards == 4
-            assert 0 < stats.critical_path_cycles < stats.inference_cycles
+            inference = stats.inference
+            assert 0 < inference.critical_path_cycles < inference.total_cycles
         # The bus flipped on cadence: staleness never reached sync_every.
         assert agent.weight_bus.staleness < 4
