@@ -403,11 +403,19 @@ class WeightBus:
         self._good_checksum = self.backend.weight_checksum()
 
     def _pick_bit(self, rng) -> tuple[str, int, int]:
-        """Draw a (buffer name, flat index, bit) target for a flip."""
+        """Draw a (buffer name, flat index, bit) target for a flip.
+
+        Every stored word is equally likely to be upset: one flat word
+        index over all serving buffers, laid end to end in name order,
+        so a buffer takes flips in proportion to its size.
+        """
         buffers = self.backend.weight_buffers()
         names = sorted(buffers)
-        name = names[int(rng.integers(len(names)))]
-        index = int(rng.integers(buffers[name].size))
+        ends = np.cumsum([buffers[name].size for name in names])
+        word = int(rng.integers(ends[-1]))
+        slot = int(np.searchsorted(ends, word, side="right"))
+        name = names[slot]
+        index = word - (int(ends[slot - 1]) if slot else 0)
         fmt = getattr(self.backend, "weight_format", None)
         bits = fmt.total_bits if fmt is not None else 16
         return name, index, int(rng.integers(bits))

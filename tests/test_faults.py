@@ -297,6 +297,27 @@ class TestWeightBusFaults:
         # The rollback restored the checksum-good snapshot.
         assert agent.backend.weight_checksum() != before
 
+    def test_flip_targets_track_buffer_sizes(self):
+        """A soft error hits every stored word with equal odds, so each
+        serving buffer's share of flips tracks its share of the words:
+        a 5-word bias is not as exposed as a 6144-word weight matrix."""
+        bus = self._agent().weight_bus
+        buffers = bus.backend.weight_buffers()
+        words = sum(arr.size for arr in buffers.values())
+        rng = np.random.default_rng(0)
+        draws = 20_000
+        hits = dict.fromkeys(buffers, 0)
+        for _ in range(draws):
+            name, index, bit = bus._pick_bit(rng)
+            assert 0 <= index < buffers[name].size
+            assert 0 <= bit < Q2_13.total_bits
+            hits[name] += 1
+        for name, arr in buffers.items():
+            share = arr.size / words
+            # Four binomial standard deviations, plus a little slack.
+            bound = 4 * np.sqrt(share * (1 - share) / draws) + 1e-3
+            assert abs(hits[name] / draws - share) <= bound, (name, hits)
+
     def test_flip_open_across_layer_failover_is_rolled_back(self):
         """A flip still open when a layer failover re-plans the slices
         stays in the one serving buffer the survivors read: the next
