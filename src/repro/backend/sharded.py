@@ -63,15 +63,14 @@ Costs come back as a :class:`~repro.backend.base.StepCost` with its
 schedule fields filled: ``layer_cycles`` stay *work* (summed over
 arrays — note each array charges its own FC tile loads, so sharded
 work slightly exceeds single-array work), ``shard_cycles`` are
-per-array totals,
-``critical_path_cycles`` is the wall-clock of the parallel schedule
-(max over arrays per parallel region, plus merge traffic), and
-``merge_cycles`` charges every element that crosses an inter-array
-link (gathers, layer-sharding's re-broadcasts, pipeline stage
-hand-offs) on the backend's
-:class:`~repro.systolic.noc.NocModel` — the default ``flat`` topology
-is exactly the legacy one-cycle-per-element model, while ``ring`` and
-``mesh`` pay real hop counts over 128-bit links.
+per-array totals, ``critical_path_cycles`` is the wall-clock of the
+parallel schedule (max over arrays per parallel region, plus merge
+traffic), and ``merge_cycles`` charges every element that crosses an
+inter-array link (gathers, layer-sharding's re-broadcasts, pipeline
+stage hand-offs) on the backend's :class:`~repro.systolic.noc.NocModel`
+— the default ``flat`` topology is exactly the legacy
+one-cycle-per-element model, while ``ring`` and ``mesh`` pay real hop
+counts over 128-bit links.
 """
 
 from __future__ import annotations
