@@ -13,9 +13,15 @@ session temp directory and leaves the committed artifacts under
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+# The fast-vs-oracle timers live with the test-only PE oracle in
+# ``tests/pe_reference.py``; make it importable when ``benchmarks/``
+# runs on its own.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.core import paper_platform
 from repro.nn import modified_alexnet_spec

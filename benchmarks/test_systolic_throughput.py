@@ -3,8 +3,9 @@
 Two measurements:
 
 * **fast vs oracle** — the benchmark layer (3x32x32 input, 16 filters
-  3x3) under both fidelities of ``FunctionalSystolicArray``.  The
-  harness re-verifies on every run that outputs agree and cycle
+  3x3) through ``simulate_conv_rowstationary`` and through the
+  loop-level PE oracle (``tests/pe_reference.py``).  The harness
+  re-verifies on every run that outputs agree and cycle
   counters are *identical*, then pins the speedup floor (>=50x on
   dedicated hardware; contended CI runners can relax it via
   ``SYSTOLIC_SPEEDUP_FLOOR``).
@@ -20,8 +21,9 @@ trajectory tracking.
 import os
 
 from _artifacts import write_artifacts
+from pe_reference import bench_conv_fast_vs_pe
 from repro.analysis import format_table
-from repro.systolic import bench_conv_fast_vs_pe, simulate_network_forward
+from repro.systolic import simulate_network_forward
 from repro.systolic.bench import bench_payload
 
 SPEEDUP_FLOOR = float(os.environ.get("SYSTOLIC_SPEEDUP_FLOOR", "50.0"))
@@ -70,7 +72,9 @@ def test_systolic_throughput(benchmark, results_dir, spec):
         "systolic_throughput.txt",
         table + footer,
         "BENCH_systolic.json",
-        bench_payload(result, forward) | {"speedup_floor": SPEEDUP_FLOOR},
+        {"bench_layer": result.payload()}
+        | bench_payload(forward)
+        | {"speedup_floor": SPEEDUP_FLOOR},
     )
 
     # bench_conv_fast_vs_pe already verified output + cycle equality.

@@ -3,7 +3,9 @@
 Three measurements:
 
 * **fast vs oracle** — one whole-network training step (forward +
-  chained backward GEMMs) on a reduced drone net under both fidelities.
+  chained backward GEMMs) on a reduced drone net, executed through the
+  datapath and through the loop-level PE oracle
+  (``tests/pe_reference.py``).
   The harness re-verifies on every run that integer counters and
   gradients are identical (``bench_training_fast_vs_pe`` raises
   otherwise), then pins the speedup floor (relaxable on contended CI
@@ -25,13 +27,10 @@ ledgers) for trajectory tracking.
 import os
 
 from _artifacts import write_artifacts
+from pe_reference import bench_training_fast_vs_pe
 from repro.analysis import format_table
 from repro.nn.alexnet import build_network, scaled_drone_net_spec
-from repro.systolic import (
-    bench_training_fast_vs_pe,
-    network_training_step_cost,
-    training_step_stats,
-)
+from repro.systolic import network_training_step_cost, training_step_stats
 
 SPEEDUP_FLOOR = float(os.environ.get("TRAINING_SPEEDUP_FLOOR", "10.0"))
 BATCH_SIZES = (4, 8, 16)

@@ -13,8 +13,7 @@ post-hoc batch costing.  Four registered implementations:
   numerics with per-layer re-quantisation, no cycle model;
 * ``systolic`` — :class:`SystolicBackend`, the accelerator-in-the-loop
   path: integer GEMM numerics on quantized raw codes through the shared
-  systolic kernels plus closed-form per-step cycle budgets, with a
-  ``fidelity="pe"`` oracle passthrough;
+  systolic kernels plus closed-form per-step cycle budgets;
 * ``sharded`` — :class:`ShardedBackend`, K systolic arrays priced over
   one datapath (``shard="sample"`` splits the batch, ``shard="layer"``
   splits conv filters / FC output neurons, ``shard="pipeline"`` stages

@@ -56,8 +56,8 @@ so a steady-state forward costs one single-array forward plus one memo
 lookup.  Chaos retries and stragglers then stretch the priced
 per-array cycles.  The executing schedules live on as a test-only
 reference (``tests/sharded_reference.py``) that the priced costs are
-checked against field by field — the role ``fidelity="pe"`` plays for
-the kernels.
+checked against field by field — the role the loop-level PE oracle
+(``tests/pe_reference.py``) plays for the kernels.
 
 Costs come back as a :class:`~repro.backend.base.StepCost` with its
 schedule fields filled: ``layer_cycles`` stay *work* (summed over
@@ -355,7 +355,7 @@ class ShardedBackend(ExecutionBackend):
         ``"sample"`` (split the batch), ``"layer"`` (split conv
         filters / FC output neurons) or ``"pipeline"`` (stage the
         layers).
-    config / fidelity / quantized / weight_format / activation_format:
+    config / quantized / weight_format / activation_format:
         Passed through to the :class:`SystolicBackend` datapath — every
         array runs the same datapath the single-array backend models.
     noc:
@@ -390,7 +390,6 @@ class ShardedBackend(ExecutionBackend):
         shards: int = 2,
         shard: str = "sample",
         config: ArrayConfig | None = None,
-        fidelity: str = "fast",
         quantized: bool = True,
         weight_format: QFormat = Q2_13,
         activation_format: QFormat = Q8_8,
@@ -423,7 +422,7 @@ class ShardedBackend(ExecutionBackend):
         # — the simulation quantises once per sync, not K times, and a
         # crash failover never changes the buffer layout.
         self.datapath = SystolicBackend(
-            network, config=config, fidelity=fidelity, quantized=quantized,
+            network, config=config, quantized=quantized,
             weight_format=weight_format, activation_format=activation_format,
         )
         self.config = self.datapath.config

@@ -13,11 +13,10 @@ Runs the Q network the way the paper's accelerator does:
   ``tests/test_backend.py``).
 * **Cycles** — closed-form accounting from :mod:`repro.systolic.cycles`:
   row-stationary conv schedules scale per image, FC tile loads amortise
-  across the batch (weight reuse, the Fig. 13 effect).
-* **Fidelity passthrough** — ``fidelity="pe"`` routes the arithmetic
-  through the loop-level PE oracle instead of the GEMM kernels; outputs
-  and counters are identical (same exact-integer argument), just slow.
-  Intended for validation on reduced shapes.
+  across the batch (weight reuse, the Fig. 13 effect).  The loop-level
+  PE oracle these counters stand for runs test-side
+  (``tests/pe_reference.py``); a forward through it matches this
+  datapath bitwise, cycle for cycle.
 
 ``quantized=False`` disables the fixed-point datapath and serves float
 numerics while still charging cycles — the post-hoc "cost this
@@ -39,8 +38,6 @@ from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Network
 from repro.systolic.array import ArrayConfig, PAPER_ARRAY
 from repro.systolic.cycles import conv_rowstationary_stats, fc_tile_stats
-from repro.systolic.fc_functional import simulate_fc_forward
-from repro.systolic.functional import FunctionalSystolicArray, check_fidelity
 from repro.systolic.kernels import conv2d_gemm, fc_forward_gemm
 
 __all__ = ["SystolicBackend"]
@@ -68,9 +65,6 @@ class SystolicBackend(ExecutionBackend):
         into ``weight_format`` raw codes at construction.
     config:
         Array geometry (defaults to the paper's 32x32 grid at 1 GHz).
-    fidelity:
-        ``"fast"`` (default) for batched GEMM numerics with closed-form
-        cycles, ``"pe"`` for the loop-level oracle passthrough.
     quantized:
         ``False`` disables the fixed-point datapath and runs float
         numerics (matching ``Network.predict``) while still charging
@@ -83,20 +77,17 @@ class SystolicBackend(ExecutionBackend):
         self,
         network: Network,
         config: ArrayConfig | None = None,
-        fidelity: str = "fast",
         quantized: bool = True,
         weight_format: QFormat = Q2_13,
         activation_format: QFormat = Q8_8,
     ):
-        check_fidelity(fidelity)
         self.network = network
         self.config = config or PAPER_ARRAY
-        self.fidelity = fidelity
         self.quantized = quantized
         self.weight_format = weight_format
         self.activation_format = activation_format
         # Raw integer codes (datapath operands) and their float values
-        # (for the PE-oracle passthrough and bias adds).
+        # (for bias adds and the float mode).
         self._raw: dict[str, np.ndarray] = {}
         self._value: dict[str, np.ndarray] = {}
         self.sync()
@@ -138,7 +129,7 @@ class SystolicBackend(ExecutionBackend):
 
         The flip happens in the two's-complement raw code; the derived
         float value is recomputed so the GEMM operands (``_raw``) and
-        the bias/oracle operands (``_value``) stay consistent, exactly
+        the bias operands (``_value``) stay consistent, exactly
         as a real upset in the single stored copy would present.
         """
         from repro.faults.recovery import flip_raw_bit
@@ -168,59 +159,48 @@ class SystolicBackend(ExecutionBackend):
     def _requantize(self, x: np.ndarray) -> np.ndarray:
         return self.activation_format.quantize(x) if self.quantized else x
 
-    def _conv(self, layer: Conv2D, x: np.ndarray, pe_sim) -> tuple[np.ndarray, int, int]:
+    def _conv(self, layer: Conv2D, x: np.ndarray) -> tuple[np.ndarray, int, int]:
         """One conv layer: output (bias added), cycles, MACs."""
         w, b = self._weights(layer)
         n, c, h, wid = x.shape
-        if self.fidelity == "pe":
-            out, stats = pe_sim.conv2d(x, w, stride=layer.stride, pad=layer.pad)
-        else:
-            if self.quantized:
-                # Integer GEMM on raw codes: act raw (scale 2^-fa) times
-                # weight raw (scale 2^-fw) accumulates exactly at scale
-                # 2^-(fa+fw); one multiply recovers the real value.
-                raw = conv2d_gemm(
-                    self.activation_format.to_raw(x).astype(np.float64),
-                    self._raw[layer.weight.name],
-                    stride=layer.stride,
-                    pad=layer.pad,
-                )
-                out = raw * (self.activation_format.scale * self.weight_format.scale)
-            else:
-                out = conv2d_gemm(x, w, stride=layer.stride, pad=layer.pad)
-            stats = conv_rowstationary_stats(
-                c, h + 2 * layer.pad, wid + 2 * layer.pad,
-                layer.out_channels, layer.kernel_size, layer.kernel_size,
-                stride=layer.stride, config=self.config, batch=n,
+        if self.quantized:
+            # Integer GEMM on raw codes: act raw (scale 2^-fa) times
+            # weight raw (scale 2^-fw) accumulates exactly at scale
+            # 2^-(fa+fw); one multiply recovers the real value.
+            raw = conv2d_gemm(
+                self.activation_format.to_raw(x).astype(np.float64),
+                self._raw[layer.weight.name],
+                stride=layer.stride,
+                pad=layer.pad,
             )
+            out = raw * (self.activation_format.scale * self.weight_format.scale)
+        else:
+            out = conv2d_gemm(x, w, stride=layer.stride, pad=layer.pad)
+        stats = conv_rowstationary_stats(
+            c, h + 2 * layer.pad, wid + 2 * layer.pad,
+            layer.out_channels, layer.kernel_size, layer.kernel_size,
+            stride=layer.stride, config=self.config, batch=n,
+        )
         out = out + b[None, :, None, None]
         return out, stats.total_cycles, stats.total_pe_cycles
 
     def _dense(self, layer: Dense, x: np.ndarray) -> tuple[np.ndarray, int, int]:
         """One FC layer: output (bias added), cycles, MACs."""
         w, b = self._weights(layer)
-        n = x.shape[0]
-        if self.fidelity == "pe":
-            result = simulate_fc_forward(x, w, array=self.config, fidelity="pe")
-            out, cycles, macs = result.output, result.total_cycles, result.mac_cycles
-        else:
-            if self.quantized:
-                raw = fc_forward_gemm(
-                    self.activation_format.to_raw(x).astype(np.float64),
-                    self._raw[layer.weight.name],
-                )
-                out = raw * (self.activation_format.scale * self.weight_format.scale)
-            else:
-                out = fc_forward_gemm(x, w)
-            sched = fc_tile_stats(
-                layer.in_features, layer.out_features, self.config, batch=n
+        if self.quantized:
+            raw = fc_forward_gemm(
+                self.activation_format.to_raw(x).astype(np.float64),
+                self._raw[layer.weight.name],
             )
-            cycles, macs = sched.total_cycles, sched.mac_cycles
-        return out + b, cycles, macs
+            out = raw * (self.activation_format.scale * self.weight_format.scale)
+        else:
+            out = fc_forward_gemm(x, w)
+        sched = fc_tile_stats(
+            layer.in_features, layer.out_features, self.config, batch=x.shape[0]
+        )
+        return out + b, sched.total_cycles, sched.mac_cycles
 
-    def forward_layer(
-        self, layer, x: np.ndarray, pe_sim=None
-    ) -> tuple[np.ndarray, int, int]:
+    def forward_layer(self, layer, x: np.ndarray) -> tuple[np.ndarray, int, int]:
         """One parametric layer on this array: ``(output, cycles, macs)``.
 
         Bias is added; the activation re-quantisation between layers
@@ -232,9 +212,7 @@ class SystolicBackend(ExecutionBackend):
         merge bitwise equal to this single-array path.
         """
         if isinstance(layer, Conv2D):
-            if self.fidelity == "pe" and pe_sim is None:
-                pe_sim = FunctionalSystolicArray(self.config, fidelity="pe")
-            return self._conv(layer, x, pe_sim)
+            return self._conv(layer, x)
         if isinstance(layer, Dense):
             return self._dense(layer, x)
         raise TypeError(
@@ -281,11 +259,6 @@ class SystolicBackend(ExecutionBackend):
             raise ValueError(f"expected an (N, C, H, W) state batch, got {x.shape}")
         n = x.shape[0]
         x = self._requantize(x)
-        pe_sim = (
-            FunctionalSystolicArray(self.config, fidelity="pe")
-            if self.fidelity == "pe"
-            else None
-        )
         layer_cycles: dict[str, int] = {}
         total_macs = 0
 
@@ -298,7 +271,7 @@ class SystolicBackend(ExecutionBackend):
 
         for layer in self.network.layers:
             if isinstance(layer, (Conv2D, Dense)):
-                x, cycles, macs = self.forward_layer(layer, x, pe_sim)
+                x, cycles, macs = self.forward_layer(layer, x)
                 charge(layer.name, cycles)
                 total_macs += macs
             else:

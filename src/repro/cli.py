@@ -20,19 +20,18 @@
                                               # span trace + metrics export
     python -m repro fleet --backend sharded --shards 4 \\
         --faults "seed=7,crash=1@30"          # seeded chaos run + failover
-    python -m repro systolic-bench            # fast path vs PE oracle
+    python -m repro systolic-bench            # paper-scale AlexNet forward
     python -m repro systolic-bench --training # whole-network training step
 
-The ``systolic-bench`` command measures the vectorized systolic fast
-path (:mod:`repro.systolic`, ``fidelity="fast"``) against the loop-level
-PE oracle on a small conv layer — re-proving output and cycle-count
-equivalence as it times them — then runs the paper-scale modified
-AlexNet through the functional simulators (infeasible for the oracle)
-and reports per-layer wall time, MACs and modelled array cycles.  Its
-``--training`` mode does the same for a whole training step (Fig. 3b):
-the paper-scale per-layer forward / dL/dW / dL/dX cycle table from the
-closed-form model, plus a fast-vs-oracle equivalence benchmark of the
-chained backward passes on a reduced spec.
+The ``systolic-bench`` command runs the paper-scale modified AlexNet
+through the functional systolic datapath (:mod:`repro.systolic`) and
+reports per-layer wall time, MACs and modelled array cycles.  Its
+``--training`` mode prints the paper-scale per-layer forward / dL/dW /
+dL/dX cycle table of a whole training step (Fig. 3b) from the
+closed-form model.  The fast-vs-PE-oracle timers live with the oracle
+in ``tests/pe_reference.py`` and run as
+``benchmarks/test_systolic_throughput.py`` /
+``benchmarks/test_training_throughput.py``.
 
 The ``fleet`` command runs the vectorized multi-environment engine
 (:mod:`repro.fleet`): one shared agent drives N environments through
@@ -670,100 +669,68 @@ def _finish_fleet_observability(args, report, projection, scheduler, tracer, reg
 
 
 def _cmd_systolic_bench(args) -> None:
-    import json
-
-    from repro.systolic import bench_conv_fast_vs_pe, simulate_network_forward
+    from repro.systolic import simulate_network_forward
     from repro.systolic.bench import bench_payload
 
     if args.training:
         _systolic_training_bench(args)
         return
-    result = bench_conv_fast_vs_pe(
-        channels=args.channels, side=args.side, filters=args.filters,
-        kernel=args.kernel, stride=args.stride, seed=args.seed,
-    )
+    forward = simulate_network_forward(batch=args.batch, seed=args.seed)
     print(format_table(
-        ["Path", "Seconds", "MMAC/s"],
+        ["Layer", "Kind", "MMAC", "Mcycles", "Wall ms"],
         [
-            ["pe oracle", round(result.pe_seconds, 4),
-             round(result.pe_macs_per_second / 1e6, 2)],
-            ["fast", round(result.fast_seconds, 6),
-             round(result.fast_macs_per_second / 1e6, 2)],
+            [l.name, l.kind, round(l.macs / 1e6, 1),
+             round(l.array_cycles / 1e6, 1),
+             round(l.wall_seconds * 1e3, 2)]
+            for l in forward.layers
         ],
     ))
-    print(f"{result.shape}: fast path {result.speedup:.0f}x over the PE oracle "
-          "(outputs and cycle counters verified identical)")
-    forward = None
-    if not args.skip_alexnet:
-        forward = simulate_network_forward(batch=args.batch, seed=args.seed)
-        print()
-        print(format_table(
-            ["Layer", "Kind", "MMAC", "Mcycles", "Wall ms"],
-            [
-                [l.name, l.kind, round(l.macs / 1e6, 1),
-                 round(l.array_cycles / 1e6, 1),
-                 round(l.wall_seconds * 1e3, 2)]
-                for l in forward.layers
-            ],
-        ))
-        print(
-            f"{forward.network} batch {forward.batch}: "
-            f"{forward.total_macs / 1e9:.2f} GMAC in {forward.wall_seconds:.2f}s "
-            f"wall ({forward.macs_per_second / 1e6:.0f} MMAC/s simulated); "
-            f"modelled array time {forward.array_seconds() * 1e3:.2f} ms"
-        )
+    print(
+        f"{forward.network} batch {forward.batch}: "
+        f"{forward.total_macs / 1e9:.2f} GMAC in {forward.wall_seconds:.2f}s "
+        f"wall ({forward.macs_per_second / 1e6:.0f} MMAC/s simulated); "
+        f"modelled array time {forward.array_seconds() * 1e3:.2f} ms"
+    )
     if args.json:
-        payload = bench_payload(result, forward)
-        payload["metrics"] = _bench_metrics_snapshot(
+        _write_bench_json(
+            args.json,
+            bench_payload(forward),
             {
-                "repro_bench_fast_seconds": result.fast_seconds,
-                "repro_bench_pe_seconds": result.pe_seconds,
-                "repro_bench_speedup": result.speedup,
-            },
-            forward
-            and {
                 "repro_bench_forward_wall_seconds": forward.wall_seconds,
                 "repro_bench_forward_macs": forward.total_macs,
             },
         )
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
 
 
-def _bench_metrics_snapshot(*gauge_dicts) -> dict:
-    """A registry snapshot built from bench-result gauges.
+def _write_bench_json(path: str, payload: dict, gauges: dict) -> None:
+    """Write a ``systolic-bench --json`` payload with its metrics block.
 
-    The ``metrics`` block of the ``systolic-bench --json`` payloads:
+    The ``metrics`` block is a registry snapshot of the result gauges:
     the same ``{"counters", "gauges", "histograms"}`` shape the fleet
     payload carries, so the future ``repro.tune`` explorer reads one
     telemetry schema everywhere.
     """
+    import json
+
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    for gauges in gauge_dicts:
-        if not gauges:
-            continue
-        for name, value in gauges.items():
-            registry.gauge(
-                name, help="systolic-bench result gauge."
-            ).set(value)
-    return registry.snapshot()
+    for name, value in gauges.items():
+        registry.gauge(name, help="systolic-bench result gauge.").set(value)
+    payload["metrics"] = registry.snapshot()
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+    print(f"wrote {path}")
 
 
 def _systolic_training_bench(args) -> None:
     """``systolic-bench --training``: whole-network training-step costs.
 
     Prints the paper-scale per-layer forward / dL/dW / dL/dX cycle
-    table from the closed-form training-step model, the modelled
-    iteration rate at the requested batch, and a fast-vs-oracle
-    equivalence check (counters identical, gradients matching) on a
-    reduced spec the PE oracle can finish.
+    table from the closed-form training-step model and the modelled
+    iteration rate at the requested batch.
     """
-    import json
-
-    from repro.systolic import bench_training_fast_vs_pe, training_step_stats
+    from repro.systolic import training_step_stats
 
     step = training_step_stats(batch=args.batch)
     print(format_table(
@@ -783,55 +750,27 @@ def _systolic_training_bench(args) -> None:
         f"{step.iterations_per_second():.3f} iterations/s on the paper array; "
         f"weight update {step.weight_update_bits() / 8e6:.1f} MB/step"
     )
-    print()
-    bench = bench_training_fast_vs_pe(batch=args.batch, seed=args.seed)
-    print(format_table(
-        ["Path", "Seconds", "MMAC/s"],
-        [
-            ["pe oracle", round(bench.pe_seconds, 4),
-             round(bench.pe_macs_per_second / 1e6, 2)],
-            ["fast", round(bench.fast_seconds, 6),
-             round(bench.fast_macs_per_second / 1e6, 2)],
-        ],
-    ))
-    print(
-        f"{bench.network} batch {bench.batch} training step: fast path "
-        f"{bench.speedup:.0f}x over the oracle (counters and gradients "
-        "verified identical)"
-    )
     if args.json:
-        payload = {
-            "training_step": {
-                "network": step.network,
-                "batch": step.batch,
-                "total_cycles": step.total_cycles,
-                "forward_cycles": step.total_forward_cycles,
-                "backward_cycles": step.total_backward_cycles,
-                "iterations_per_second": step.iterations_per_second(),
-                "weight_update_elements": step.weight_update_elements,
+        _write_bench_json(
+            args.json,
+            {
+                "training_step": {
+                    "network": step.network,
+                    "batch": step.batch,
+                    "total_cycles": step.total_cycles,
+                    "forward_cycles": step.total_forward_cycles,
+                    "backward_cycles": step.total_backward_cycles,
+                    "iterations_per_second": step.iterations_per_second(),
+                    "weight_update_elements": step.weight_update_elements,
+                },
             },
-            "bench_training": {
-                "network": bench.network,
-                "batch": bench.batch,
-                "speedup": bench.speedup,
-                "pe_seconds": bench.pe_seconds,
-                "fast_seconds": bench.fast_seconds,
+            {
+                "repro_training_step_cycles": step.total_cycles,
+                "repro_training_iterations_per_second": (
+                    step.iterations_per_second()
+                ),
             },
-            "metrics": _bench_metrics_snapshot(
-                {
-                    "repro_training_step_cycles": step.total_cycles,
-                    "repro_training_iterations_per_second": (
-                        step.iterations_per_second()
-                    ),
-                    "repro_bench_training_fast_seconds": bench.fast_seconds,
-                    "repro_bench_training_pe_seconds": bench.pe_seconds,
-                    "repro_bench_training_speedup": bench.speedup,
-                }
-            ),
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.json}")
+        )
 
 
 def _cmd_map(args) -> None:
@@ -979,21 +918,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.set_defaults(func=_cmd_fleet)
     p_sys = sub.add_parser(
         "systolic-bench",
-        help="systolic fast path vs PE oracle + paper-scale AlexNet forward",
+        help="paper-scale AlexNet forward through the systolic datapath "
+             "(per-layer wall time, MACs, modelled array cycles)",
     )
-    p_sys.add_argument("--channels", type=int, default=3)
-    p_sys.add_argument("--side", type=int, default=32)
-    p_sys.add_argument("--filters", type=int, default=16)
-    p_sys.add_argument("--kernel", type=int, default=3)
-    p_sys.add_argument("--stride", type=int, default=1)
     p_sys.add_argument("--batch", type=int, default=1,
-                       help="AlexNet forward batch size")
-    p_sys.add_argument("--skip-alexnet", action="store_true",
-                       help="only run the fast-vs-oracle layer benchmark")
+                       help="AlexNet forward (or training step) batch size")
     p_sys.add_argument("--training", action="store_true",
                        help="whole-network training-step mode: paper-scale "
-                            "fwd/dW/dX cycle table + fast-vs-oracle "
-                            "training equivalence benchmark")
+                            "closed-form fwd/dW/dX cycle table")
     p_sys.add_argument("--json", default=None,
                        help="also write machine-readable results to this path")
     p_sys.add_argument("--seed", type=int, default=0)

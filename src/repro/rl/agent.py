@@ -16,7 +16,7 @@ budget to whoever is accounting (the fleet scheduler, per round).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,9 +254,13 @@ class QLearningAgent:
         format's saturation rails (the quantised datapath clamps, so a
         blown-up weight rails the output instead of producing NaN).
         On detection the agent forces a weight-bus flip — a fresh
-        download from the float staging weights — and recomputes; the
-        recompute's cycles are charged as recovery overhead and added
-        to the step's cost.
+        download from the float staging weights — and recomputes.  The
+        recompute's cycles and MACs join the step's cost, but not its
+        ``states``: the same batch is served once, so cycles per state
+        and the degraded fraction stay per served state.  The injector
+        also records those cycles as ``fault_recovery_cycles``; that
+        figure is the part of the inference ledger's cycles spent on
+        recovery, not an extra charge on top of it.
         """
         fmt = getattr(self.backend, "activation_format", None)
         bad = not bool(np.all(np.isfinite(q_values)))
@@ -287,7 +291,7 @@ class QLearningAgent:
             self.weight_bus.flip()
             q_values, recompute = self.backend.forward_batch(states)
         inj.add_recovery_cycles(recompute.total_cycles)
-        cost = cost + recompute
+        cost = cost + replace(recompute, states=0)
         recovered = bool(np.all(np.isfinite(q_values)))
         if recovered and fmt is not None and getattr(self.backend, "quantized", False):
             recovered = not bool(

@@ -10,21 +10,22 @@ provides:
   their segment/set geometry and active-PE counts,
 * the FC forward (vector-matrix, Fig. 7) and backward
   (vector-transposed-matrix, Fig. 8) mappings,
-* a functional systolic simulator with a ``fidelity`` switch: the
-  default ``"fast"`` path computes layer numerics with shared batched
+* one functional datapath: layer numerics from shared batched
   im2col/GEMM kernels (:mod:`repro.systolic.kernels`) and cycle
   statistics in closed form (:mod:`repro.systolic.cycles`), running
-  paper-scale layers and whole batches in one call; ``"pe"`` retains
-  the loop-level per-PE oracle the fast path is proven against.  FC
-  weight tiles stay resident while a batch streams through, so their
-  load cycles amortise across the batch (the Fig. 13 fps-vs-batch
-  weight-reuse effect) at both fidelities,
-* a throughput benchmark harness (:mod:`repro.systolic.bench`) backing
+  paper-scale layers and whole batches in one call.  Conv filter rows
+  and FC weight tiles stay resident while a batch streams through, so
+  their load cycles amortise across the batch (the Fig. 13
+  fps-vs-batch weight-reuse effect),
+* whole-network training-step costs (:mod:`repro.systolic.training`),
+* a paper-scale forward harness (:mod:`repro.systolic.bench`) backing
   ``python -m repro systolic-bench``.
+
+The loop-level per-PE oracle the closed-form counters are proven
+against is test-only code (``tests/pe_reference.py``).
 """
 
-from repro.systolic.pe import PEConfig, ProcessingElement
-from repro.systolic.array import ArrayConfig, PAPER_ARRAY
+from repro.systolic.array import PEConfig, ArrayConfig, PAPER_ARRAY
 from repro.systolic.kernels import (
     conv_out_size,
     im2col,
@@ -47,17 +48,12 @@ from repro.systolic.conv_mapping import (
     map_conv_layer,
 )
 from repro.systolic.fc_mapping import FCMapping, map_fc_layer
-from repro.systolic.functional import (
-    FIDELITIES,
-    FunctionalSystolicArray,
-    simulate_conv_rowstationary,
-)
+from repro.systolic.functional import simulate_conv_rowstationary
 from repro.systolic.fc_functional import (
     FCSimResult,
     simulate_fc_forward,
     simulate_fc_backward_transposed,
 )
-from repro.systolic.gemm_backward import GemmBackwardResult, conv_backward_gemm
 from repro.systolic.schedule import ArrayPass, ConvSchedule, build_conv_schedule
 from repro.systolic.noc import (
     NOC_TOPOLOGIES,
@@ -65,26 +61,16 @@ from repro.systolic.noc import (
     NocModel,
     analyze_conv_communication,
 )
-from repro.systolic.bench import (
-    ConvBenchResult,
-    NetworkForwardResult,
-    bench_conv_fast_vs_pe,
-    simulate_network_forward,
-)
+from repro.systolic.bench import NetworkForwardResult, simulate_network_forward
 from repro.systolic.training import (
     LayerTrainingCost,
     TrainingStepCost,
-    TrainingStepResult,
-    TrainingBenchResult,
     training_step_stats,
     network_training_step_cost,
-    simulate_network_training_step,
-    bench_training_fast_vs_pe,
 )
 
 __all__ = [
     "PEConfig",
-    "ProcessingElement",
     "ArrayConfig",
     "PAPER_ARRAY",
     "conv_out_size",
@@ -100,14 +86,10 @@ __all__ = [
     "map_conv_layer",
     "FCMapping",
     "map_fc_layer",
-    "FIDELITIES",
-    "FunctionalSystolicArray",
     "simulate_conv_rowstationary",
     "FCSimResult",
     "simulate_fc_forward",
     "simulate_fc_backward_transposed",
-    "GemmBackwardResult",
-    "conv_backward_gemm",
     "ArrayPass",
     "ConvSchedule",
     "build_conv_schedule",
@@ -115,9 +97,7 @@ __all__ = [
     "NocModel",
     "NOC_TOPOLOGIES",
     "analyze_conv_communication",
-    "ConvBenchResult",
     "NetworkForwardResult",
-    "bench_conv_fast_vs_pe",
     "simulate_network_forward",
     "ConvBackwardStats",
     "fc_backward_stats",
@@ -125,10 +105,6 @@ __all__ = [
     "conv_backward_gemm_stats",
     "LayerTrainingCost",
     "TrainingStepCost",
-    "TrainingStepResult",
-    "TrainingBenchResult",
     "training_step_stats",
     "network_training_step_cost",
-    "simulate_network_training_step",
-    "bench_training_fast_vs_pe",
 ]

@@ -1,12 +1,43 @@
-"""PE-array configuration (Fig. 4b)."""
+"""PE-array configuration (Fig. 4b).
+
+Each PE has a 4.5 KB register file, 8 MAC units, 8 comparators (for
+ReLU and max-pool), 128-bit links to its four neighbours plus a
+diagonal link to the upper-right PE, and runs at 1 GHz on 16-bit
+fixed-point data.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.systolic.pe import PEConfig
+__all__ = ["PEConfig", "ArrayConfig", "PAPER_ARRAY"]
 
-__all__ = ["ArrayConfig", "PAPER_ARRAY"]
+
+@dataclass(frozen=True)
+class PEConfig:
+    """Static PE parameters.
+
+    ``rf_words`` (register-file capacity in data words) and
+    ``words_per_link_beat`` (data words moved per cycle over one
+    inter-PE link) are derived once at construction, as cached
+    attributes rather than recomputed properties.
+    """
+
+    rf_bytes: int = 4608  # 4.5 KB
+    n_macs: int = 8
+    n_comparators: int = 8
+    link_bits: int = 128
+    word_bits: int = 16
+
+    def __post_init__(self) -> None:
+        if min(self.rf_bytes, self.n_macs, self.n_comparators, self.link_bits) <= 0:
+            raise ValueError("PE parameters must be positive")
+        if self.word_bits not in (8, 16, 32):
+            raise ValueError("word_bits must be 8, 16 or 32")
+        object.__setattr__(self, "rf_words", self.rf_bytes * 8 // self.word_bits)
+        object.__setattr__(
+            self, "words_per_link_beat", self.link_bits // self.word_bits
+        )
 
 
 @dataclass(frozen=True)

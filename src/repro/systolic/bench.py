@@ -1,16 +1,12 @@
-"""Systolic fast-path throughput harness.
+"""Paper-scale functional forward harness.
 
 Backs ``python -m repro systolic-bench`` and
 ``benchmarks/test_systolic_throughput.py``:
-
-* :func:`bench_conv_fast_vs_pe` times one convolution layer under both
-  fidelities of :class:`~repro.systolic.functional.FunctionalSystolicArray`
-  (verifying on the way that outputs agree and cycle counters are
-  identical) and reports the fast-over-oracle speedup.
-* :func:`simulate_network_forward` runs a whole network spec — by
-  default the paper-scale modified AlexNet, something the PE-loop
-  oracle could never finish — through the functional simulators layer
-  by layer, collecting wall time, MACs and array cycles per layer.
+:func:`simulate_network_forward` runs a whole network spec — by default
+the paper-scale modified AlexNet — through the functional simulators
+layer by layer, collecting wall time, MACs and array cycles per layer.
+The fast-vs-oracle timer of the same benchmark lives with the
+loop-level PE oracle in ``tests/pe_reference.py``.
 
 Local response norm layers are shape-preserving and run on the
 comparator/vector units outside the MAC datapath, so the forward walk
@@ -27,106 +23,14 @@ import numpy as np
 
 from repro.systolic.array import ArrayConfig, PAPER_ARRAY
 from repro.systolic.fc_functional import simulate_fc_forward
-from repro.systolic.functional import FunctionalSystolicArray
+from repro.systolic.functional import simulate_conv_rowstationary
 
 __all__ = [
-    "ConvBenchResult",
     "LayerForwardCost",
     "NetworkForwardResult",
-    "bench_conv_fast_vs_pe",
     "bench_payload",
     "simulate_network_forward",
 ]
-
-
-@dataclass(frozen=True)
-class ConvBenchResult:
-    """Fast-vs-oracle timing of one convolution layer."""
-
-    channels: int
-    side: int
-    filters: int
-    kernel: int
-    stride: int
-    macs: int
-    pe_seconds: float
-    fast_seconds: float
-
-    @property
-    def shape(self) -> str:
-        """Human-readable layer geometry."""
-        return (
-            f"{self.channels}x{self.side}x{self.side} -> {self.filters} "
-            f"filters {self.kernel}x{self.kernel}/s{self.stride}"
-        )
-
-    @property
-    def speedup(self) -> float:
-        """Fast-path speedup over the PE-loop oracle."""
-        return self.pe_seconds / self.fast_seconds
-
-    @property
-    def fast_macs_per_second(self) -> float:
-        """Simulated MAC throughput of the fast path."""
-        return self.macs / self.fast_seconds
-
-    @property
-    def pe_macs_per_second(self) -> float:
-        """Simulated MAC throughput of the oracle."""
-        return self.macs / self.pe_seconds
-
-
-def bench_conv_fast_vs_pe(
-    channels: int = 3,
-    side: int = 32,
-    filters: int = 16,
-    kernel: int = 3,
-    stride: int = 1,
-    pe_repeats: int = 2,
-    fast_repeats: int = 10,
-    seed: int = 0,
-    config: ArrayConfig | None = None,
-) -> ConvBenchResult:
-    """Time one conv layer under both fidelities (min over repeats).
-
-    Also cross-checks the two paths against each other — outputs must
-    agree and cycle statistics must be *identical* — so every benchmark
-    run re-proves the equivalence it is measuring.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(channels, side, side))
-    w = rng.normal(size=(filters, channels, kernel, kernel))
-    fast_sim = FunctionalSystolicArray(config, fidelity="fast")
-    pe_sim = FunctionalSystolicArray(config, fidelity="pe")
-
-    pe_seconds = float("inf")
-    for _ in range(max(pe_repeats, 1)):
-        start = time.perf_counter()
-        pe_out, pe_stats = pe_sim.conv2d(x, w, stride=stride)
-        pe_seconds = min(pe_seconds, time.perf_counter() - start)
-    fast_seconds = float("inf")
-    for _ in range(max(fast_repeats, 1)):
-        start = time.perf_counter()
-        fast_out, fast_stats = fast_sim.conv2d(x, w, stride=stride)
-        fast_seconds = min(fast_seconds, time.perf_counter() - start)
-
-    if fast_stats != pe_stats:
-        raise RuntimeError(
-            f"cycle statistics diverged: fast {fast_stats} vs oracle {pe_stats}"
-        )
-    if not np.allclose(fast_out, pe_out, rtol=1e-10, atol=1e-10):
-        raise RuntimeError("fast-path output diverged from the PE oracle")
-
-    return ConvBenchResult(
-        channels=channels,
-        side=side,
-        filters=filters,
-        kernel=kernel,
-        stride=stride,
-        macs=pe_stats.total_pe_cycles,
-        pe_seconds=pe_seconds,
-        fast_seconds=fast_seconds,
-    )
 
 
 @dataclass(frozen=True)
@@ -146,7 +50,6 @@ class NetworkForwardResult:
 
     network: str
     batch: int
-    fidelity: str
     layers: tuple[LayerForwardCost, ...]
     wall_seconds: float
 
@@ -170,28 +73,15 @@ class NetworkForwardResult:
         return config.seconds(self.total_array_cycles)
 
 
-def bench_payload(
-    result: ConvBenchResult,
-    forward: NetworkForwardResult | None = None,
-) -> dict:
-    """Machine-readable benchmark results.
+def bench_payload(forward: NetworkForwardResult) -> dict:
+    """Machine-readable forward results.
 
     One schema for every emitter — the ``systolic-bench --json`` CLI
     flag and the ``BENCH_systolic.json`` benchmark artifact — so
     trajectory-tracking consumers parse a single format.
     """
-    payload = {
-        "bench_layer": {
-            "shape": result.shape,
-            "speedup": result.speedup,
-            "pe_seconds": result.pe_seconds,
-            "fast_seconds": result.fast_seconds,
-            "fast_macs_per_second": result.fast_macs_per_second,
-            "pe_macs_per_second": result.pe_macs_per_second,
-        },
-    }
-    if forward is not None:
-        payload["alexnet_forward"] = {
+    return {
+        "alexnet_forward": {
             "network": forward.network,
             "batch": forward.batch,
             "wall_seconds": forward.wall_seconds,
@@ -200,23 +90,20 @@ def bench_payload(
             "total_array_cycles": forward.total_array_cycles,
             "modelled_array_seconds": forward.array_seconds(),
         }
-    return payload
+    }
 
 
 def simulate_network_forward(
     spec=None,
     batch: int = 1,
-    fidelity: str = "fast",
     seed: int = 0,
     config: ArrayConfig | None = None,
 ) -> NetworkForwardResult:
     """Run a network spec through the functional systolic simulators.
 
     ``spec`` defaults to the paper-scale modified AlexNet
-    (:func:`repro.nn.alexnet.modified_alexnet_spec`) — at that scale
-    only the fast fidelity is practical; the PE oracle remains available
-    for reduced specs.  Weights are randomly initialised (the cost
-    accounting depends only on shapes).
+    (:func:`repro.nn.alexnet.modified_alexnet_spec`).  Weights are
+    randomly initialised (the cost accounting depends only on shapes).
     """
     # Imported lazily: repro.nn imports repro.systolic.kernels, so a
     # module-level import here would be circular.
@@ -227,8 +114,7 @@ def simulate_network_forward(
     if spec is None:
         spec = modified_alexnet_spec()
     rng = np.random.default_rng(seed)
-    sim = FunctionalSystolicArray(config, fidelity=fidelity)
-    array = sim.config
+    array = config or PAPER_ARRAY
 
     x = rng.normal(size=(batch, spec.input_channels, spec.input_side, spec.input_side))
     layers: list[LayerForwardCost] = []
@@ -246,8 +132,8 @@ def simulate_network_forward(
                 scale=0.05,
             )
             start = time.perf_counter()
-            x, stats = sim.conv2d(
-                x, w, stride=layer_spec.stride, pad=layer_spec.pad
+            x, stats = simulate_conv_rowstationary(
+                x, w, stride=layer_spec.stride, config=array, pad=layer_spec.pad
             )
             conv_seconds = time.perf_counter() - start
             # ReLU/pool run outside the timed window: the cost fields
@@ -272,7 +158,7 @@ def simulate_network_forward(
                 size=(layer_spec.in_features, layer_spec.out_features), scale=0.05
             )
             start = time.perf_counter()
-            result = simulate_fc_forward(x, m, array=array, fidelity=fidelity)
+            result = simulate_fc_forward(x, m, array=array)
             x = result.output
             if layer_spec is not spec.layers[-1]:
                 x = np.maximum(x, 0.0)
@@ -290,7 +176,6 @@ def simulate_network_forward(
     return NetworkForwardResult(
         network=spec.name,
         batch=batch,
-        fidelity=fidelity,
         layers=tuple(layers),
         wall_seconds=time.perf_counter() - total_start,
     )

@@ -1,12 +1,12 @@
 """Closed-form cycle accounting for the functional systolic simulators.
 
-The loop-level oracle (:class:`repro.systolic.pe.ProcessingElement`
-driven by :class:`repro.systolic.functional.FunctionalSystolicArray`)
-charges cycles as it executes: ``out_len * taps`` MACs per row
-convolution, one drain wavefront per column pass, link-beat psum moves
-and comparator ReLUs.  Every one of those charges is a pure function of
-the layer geometry, so the fast path does not need to execute the loop
-to know what it would have charged — the formulas here reproduce the
+The loop-level oracle (a test-only segment of per-PE models per
+filter, ``tests/pe_reference.py``) charges cycles as it executes:
+``out_len * taps`` MACs per row convolution, one drain wavefront per
+column pass, link-beat psum moves and comparator ReLUs.  Every one of
+those charges is a pure function of the layer geometry, so the
+datapath does not need to execute the loop to know what it would have
+charged — the formulas here reproduce the
 oracle's counters *exactly* (integer equality, asserted over a
 property-tested shape grid in ``tests/test_systolic_fast_equivalence.py``).
 
@@ -20,7 +20,8 @@ Derivation, matching the oracle loop structure:
   cycles for the wavefront to flow down the segment, ``ow`` to stream
   the row out, and one extra cycle of stagger per additional occupied
   column (partially-filled final passes occupy ``oh mod cols`` columns
-  and charge less — see the occupancy fix in ``FunctionalSystolicArray``).
+  and charge less — see the occupancy note in
+  :mod:`repro.systolic.functional`).
 * FC tiles — the tile schedule of Figs. 7/8 charges ``tile.size`` MACs
   and ``tile_rows + tile_cols`` drain per tile; summed in closed form
   over the ragged tile grid.
@@ -236,8 +237,7 @@ class ConvBackwardStats:
       ``(K x OC)`` gradient tiles.
 
     ``expansion_elements`` counts the im2col matrix the logic die must
-    materialise (the data-movement charge of
-    :mod:`repro.systolic.gemm_backward`).
+    materialise (the data-movement charge of the Section V.B expansion).
     """
 
     dw: FCScheduleStats
@@ -270,10 +270,9 @@ def conv_backward_gemm_stats(
     """Closed-form counters for a conv layer's backward GEMMs.
 
     ``height``/``width`` are the *unpadded* input extents with ``pad``
-    given explicitly (matching :func:`~repro.systolic.gemm_backward.
-    conv_backward_gemm`, which pads inside the expansion — unlike the
-    forward :func:`conv_rowstationary_stats`, which takes pre-padded
-    extents because the forward array streams padded rows).
+    given explicitly (the Section V.B expansion pads inside im2col —
+    unlike the forward :func:`conv_rowstationary_stats`, which takes
+    pre-padded extents because the forward array streams padded rows).
     """
     oh = (height + 2 * pad - kh) // stride + 1
     ow = (width + 2 * pad - kw) // stride + 1

@@ -9,16 +9,16 @@ propagates column-wise and partial sums accumulate row-wise, computing
 ``v @ W.T`` without materialising the transpose.  This is the trick that
 lets the same weight tile serve both directions.
 
-Both directions offer two fidelities.  ``fidelity="fast"`` (default)
-computes the product as one BLAS GEMM (:mod:`repro.systolic.kernels`)
-with the tile/MAC/drain counters from the closed-form schedule model
-(:mod:`repro.systolic.cycles`) — paper-scale FC layers (37.75M weights)
-cost milliseconds.  ``fidelity="pe"`` executes the tile schedule
-explicitly (per-tile loads, per-lane dot products, wavefront drains) and
-is the oracle the fast path is proven against.  A batch of vectors
-(B, I) streams through each *resident* weight tile: tile loads are
-charged once per batch (the Fig. 13 weight-reuse effect), while MAC and
-drain counters repeat per vector.
+Both directions compute the product as one BLAS GEMM
+(:mod:`repro.systolic.kernels`) with the tile/MAC/drain counters from
+the closed-form schedule model (:mod:`repro.systolic.cycles`) —
+paper-scale FC layers (37.75M weights) cost milliseconds.  The explicit
+tile schedule (per-tile loads, per-lane dot products, wavefront drains)
+is the test-only oracle these counters are proven against
+(``tests/pe_reference.py``).  A batch of vectors (B, I) streams through
+each *resident* weight tile: tile loads are charged once per batch (the
+Fig. 13 weight-reuse effect), while MAC and drain counters repeat per
+vector.
 
 These simulators ground the FC pass-count model of
 :mod:`repro.perf.layer_cost`.
@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.systolic.array import ArrayConfig, PAPER_ARRAY
 from repro.systolic.cycles import fc_tile_stats
-from repro.systolic.functional import check_fidelity
 from repro.systolic.kernels import fc_backward_gemm, fc_forward_gemm
 
 __all__ = ["FCSimResult", "simulate_fc_forward", "simulate_fc_backward_transposed"]
@@ -59,49 +58,8 @@ class FCSimResult:
         return self.load_cycles + self.mac_cycles + self.drain_cycles
 
 
-def _tile_ranges(size: int, tile: int):
-    for start in range(0, size, tile):
-        yield start, min(start + tile, size)
-
-
-def _pe_tile_schedule(
-    batch: np.ndarray, matrix: np.ndarray, array: ArrayConfig, forward: bool
-):
-    """Execute the Fig. 7/8 tile schedule explicitly (the pe oracle).
-
-    Forward (Fig. 7): row-wise vector propagation — each PE row
-    multiplies its vector element into its matrix row (one MAC per PE)
-    and products accumulate down each column into the first row.
-    Backward (Fig. 8): column-wise propagation — each PE column
-    multiplies its vector element and sums accumulate along each row.
-    Only the contraction axis differs; tiles, MACs and drains are
-    charged identically in both directions.
-
-    Tiles iterate *outermost* so each weight tile is loaded once
-    (``tile_rows`` broadside load cycles) and stays resident while the
-    whole batch streams through it — weight reuse across the batch.
-    """
-    in_f, out_f = matrix.shape
-    n = batch.shape[0]
-    output = np.zeros((n, out_f if forward else in_f))
-    tiles = mac_cycles = drain_cycles = load_cycles = 0
-    for r0, r1 in _tile_ranges(in_f, array.rows):
-        for c0, c1 in _tile_ranges(out_f, array.cols):
-            tiles += 1
-            tile = matrix[r0:r1, c0:c1]
-            load_cycles += r1 - r0
-            for b in range(n):
-                if forward:
-                    output[b, c0:c1] += (batch[b, r0:r1, None] * tile).sum(axis=0)
-                else:
-                    output[b, r0:r1] += (tile * batch[b, None, c0:c1]).sum(axis=1)
-                mac_cycles += tile.size
-                drain_cycles += (r1 - r0) + (c1 - c0)
-    return output, tiles, mac_cycles, drain_cycles, load_cycles
-
-
-def _prepare(vector: np.ndarray, matrix: np.ndarray, features_axis: int):
-    """Normalise inputs to a (B, F) batch; return (batch, matrix, single)."""
+def _fc_pass(vector, matrix, array, features_axis, product) -> FCSimResult:
+    """Run ``product`` on a (B, F) batch and attach the tile counters."""
     vector = np.asarray(vector, dtype=np.float64)
     matrix = np.asarray(matrix, dtype=np.float64)
     single = vector.ndim == 1
@@ -113,14 +71,19 @@ def _prepare(vector: np.ndarray, matrix: np.ndarray, features_axis: int):
     ):
         want = "(I,)" if features_axis == 0 else "(O,)"
         raise ValueError(f"need vector {want} or a (B, F) batch and matrix (I, O)")
-    return batch, matrix, single
+    output = product(batch, matrix)
+    in_f, out_f = matrix.shape
+    sched = fc_tile_stats(in_f, out_f, array, batch=batch.shape[0])
+    return FCSimResult(
+        output[0] if single else output,
+        sched.tiles, sched.mac_cycles, sched.drain_cycles, sched.load_cycles,
+    )
 
 
 def simulate_fc_forward(
     vector: np.ndarray,
     matrix: np.ndarray,
     array: ArrayConfig = PAPER_ARRAY,
-    fidelity: str = "fast",
 ) -> FCSimResult:
     """Fig. 7: compute ``vector @ matrix`` tile by tile.
 
@@ -129,25 +92,13 @@ def simulate_fc_forward(
     the vector element enters its row and multiplies across, products
     accumulate down each column.
     """
-    check_fidelity(fidelity)
-    batch, matrix, single = _prepare(vector, matrix, features_axis=0)
-    in_f, out_f = matrix.shape
-    if fidelity == "fast":
-        output = fc_forward_gemm(batch, matrix)
-        sched = fc_tile_stats(in_f, out_f, array, batch=batch.shape[0])
-        counters = (
-            sched.tiles, sched.mac_cycles, sched.drain_cycles, sched.load_cycles,
-        )
-    else:
-        output, *counters = _pe_tile_schedule(batch, matrix, array, forward=True)
-    return FCSimResult(output[0] if single else output, *counters)
+    return _fc_pass(vector, matrix, array, 0, fc_forward_gemm)
 
 
 def simulate_fc_backward_transposed(
     vector: np.ndarray,
     matrix: np.ndarray,
     array: ArrayConfig = PAPER_ARRAY,
-    fidelity: str = "fast",
 ) -> FCSimResult:
     """Fig. 8: compute ``vector @ matrix.T`` *without transposing*.
 
@@ -157,15 +108,4 @@ def simulate_fc_backward_transposed(
     the columns; partial sums accumulate row-wise and drain from the
     last column.
     """
-    check_fidelity(fidelity)
-    batch, matrix, single = _prepare(vector, matrix, features_axis=1)
-    in_f, out_f = matrix.shape
-    if fidelity == "fast":
-        output = fc_backward_gemm(batch, matrix)
-        sched = fc_tile_stats(in_f, out_f, array, batch=batch.shape[0])
-        counters = (
-            sched.tiles, sched.mac_cycles, sched.drain_cycles, sched.load_cycles,
-        )
-    else:
-        output, *counters = _pe_tile_schedule(batch, matrix, array, forward=False)
-    return FCSimResult(output[0] if single else output, *counters)
+    return _fc_pass(vector, matrix, array, 1, fc_backward_gemm)

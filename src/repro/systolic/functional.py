@@ -1,26 +1,18 @@
-"""Functional (cycle-counting) systolic simulation.
+"""Functional (cycle-counting) row-stationary convolution.
 
-Executes a convolution the way the row-stationary array does — one PE
-per filter row computing 1-D row convolutions, partial sums accumulated
-vertically through the segment — and reports the cycles the array
-charges.  Two fidelities share one API:
-
-``fidelity="fast"`` (default)
-    Numerics come from the shared batched im2col + GEMM kernels
-    (:mod:`repro.systolic.kernels`) and cycle/occupancy statistics from
-    the closed-form accounting in :mod:`repro.systolic.cycles`.  This
-    path runs paper-scale layers — a full modified-AlexNet forward pass
-    costs seconds, and whole fleet observation batches are costed in
-    one ``conv2d(x: (N, C, H, W))`` call.
-
-``fidelity="pe"``
-    The loop-level oracle: every row convolution goes through a
-    :class:`~repro.systolic.pe.ProcessingElement`, charging cycles as
-    it executes.  Intended for validation; the fast path is proven to
-    reproduce its outputs and counters exactly over a property-tested
-    shape grid (``tests/test_systolic_fast_equivalence.py``), and
-    ``benchmarks/test_systolic_throughput.py`` pins the fast path's
-    speedup over it.
+Computes a convolution the way the row-stationary array schedules it —
+one PE per filter row computing 1-D row convolutions, partial sums
+accumulated vertically through the segment — and reports the cycles
+the array charges.  Numerics come from the shared batched im2col + GEMM
+kernels (:mod:`repro.systolic.kernels`) and cycle/occupancy statistics
+from the closed-form accounting in :mod:`repro.systolic.cycles`, so
+paper-scale layers run in one call — a full modified-AlexNet forward
+pass costs seconds, and whole fleet observation batches are costed in
+one ``simulate_conv_rowstationary(x: (N, C, H, W))`` call.  The
+loop-level per-PE execution these counters stand for is a test-only
+oracle (``tests/pe_reference.py``); outputs and counters are proven
+equal to it over a property-tested shape grid
+(``tests/test_systolic_fast_equivalence.py``).
 
 Wavefront accounting: each column pass drains one psum wavefront.  A
 pass occupying ``q`` array columns charges ``kh + ow + q - 1`` cycles —
@@ -43,152 +35,8 @@ import numpy as np
 from repro.systolic.array import ArrayConfig, PAPER_ARRAY
 from repro.systolic.cycles import SimulationStats, conv_rowstationary_stats
 from repro.systolic.kernels import conv2d_gemm
-from repro.systolic.pe import ProcessingElement
 
-__all__ = [
-    "FIDELITIES",
-    "SimulationStats",
-    "FunctionalSystolicArray",
-    "simulate_conv_rowstationary",
-]
-
-#: Recognised simulation fidelities.
-FIDELITIES = ("fast", "pe")
-
-
-def check_fidelity(fidelity: str) -> None:
-    """Raise ``ValueError`` unless ``fidelity`` is a recognised mode."""
-    if fidelity not in FIDELITIES:
-        raise ValueError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
-
-
-class FunctionalSystolicArray:
-    """A pool of functional PEs arranged as one segment per filter.
-
-    Parameters
-    ----------
-    config:
-        Array geometry (defaults to the paper's 32x32 grid).
-    fidelity:
-        ``"fast"`` for the vectorised GEMM path with closed-form cycle
-        accounting (default), ``"pe"`` for the loop-level PE oracle.
-    """
-
-    def __init__(self, config: ArrayConfig | None = None, fidelity: str = "fast"):
-        check_fidelity(fidelity)
-        self.config = config or PAPER_ARRAY
-        self.fidelity = fidelity
-
-    def conv2d(
-        self,
-        x: np.ndarray,
-        weights: np.ndarray,
-        stride: int = 1,
-        pad: int = 0,
-    ) -> tuple[np.ndarray, SimulationStats]:
-        """Row-stationary convolution of one image or a batch.
-
-        Parameters
-        ----------
-        x:
-            Input activations, (C, H, W) for one image or (N, C, H, W)
-            for a batch; a batch repeats the schedule per image, so the
-            cycle counters scale linearly with N.
-        weights:
-            Filters (OC, C, KH, KW).
-        stride:
-            Convolution stride.
-        pad:
-            Symmetric zero padding applied before the array sees the
-            input (the global buffer pads on the fly; the array charges
-            for the padded extents).
-
-        Returns
-        -------
-        output, stats
-            (OC, OH, OW) or (N, OC, OH, OW) result matching the input
-            rank, and cycle statistics.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        single = x.ndim == 3
-        if single:
-            x = x[None]
-        if x.ndim != 4 or weights.ndim != 4:
-            raise ValueError("x must be (C,H,W) or (N,C,H,W) and weights (OC,C,KH,KW)")
-        n, c, h, w = x.shape
-        oc, wc, kh, kw = weights.shape
-        if wc != c:
-            raise ValueError(f"channel mismatch: input {c}, weights {wc}")
-        if kh > self.config.rows:
-            raise ValueError("filter taller than the array")
-        if pad < 0:
-            raise ValueError("pad must be non-negative")
-        oh = (h + 2 * pad - kh) // stride + 1
-        ow = (w + 2 * pad - kw) // stride + 1
-        if oh <= 0 or ow <= 0:
-            raise ValueError("filter larger than input")
-
-        if self.fidelity == "fast":
-            out = conv2d_gemm(x, weights, stride=stride, pad=pad)
-            stats = conv_rowstationary_stats(
-                c, h + 2 * pad, w + 2 * pad, oc, kh, kw,
-                stride=stride, config=self.config, batch=n,
-            )
-        else:
-            if pad > 0:
-                x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            out, stats = self._conv2d_pe(x, weights, stride, oh, ow)
-        return (out[0] if single else out), stats
-
-    def _conv2d_pe(
-        self,
-        x: np.ndarray,
-        weights: np.ndarray,
-        stride: int,
-        oh: int,
-        ow: int,
-    ) -> tuple[np.ndarray, SimulationStats]:
-        """The loop-level oracle: one segment of kh PEs, one pass per
-        column batch, with filter rows resident across the batch."""
-        n, c, _, _ = x.shape
-        oc, _, kh, _ = weights.shape
-        segment = [ProcessingElement(self.config.pe) for _ in range(kh)]
-        cols = self.config.cols
-        out = np.zeros((n, oc, oh, ow))
-        wavefront_cycles = 0
-        for out_ch in range(oc):
-            for row_base in range(0, oh, cols):
-                rows_this_pass = min(cols, oh - row_base)
-                # Row-stationary residency, extended across the batch:
-                # each PE loads its filter row once (one broadside load
-                # cycle) and keeps it in the RF while *every* image's
-                # input rows stream past it — the conv analogue of the
-                # FC tile reuse, so load cycles do not scale with n.
-                for ch in range(c):
-                    for fr, pe in enumerate(segment):
-                        pe.clear()
-                        pe.load_filter_row(weights[out_ch, ch, fr])
-                        for img in range(n):
-                            image = x[img]
-                            for col_pe in range(rows_this_pass):
-                                out_row = row_base + col_pe
-                                pe.clear_psum()
-                                pe.load_input_row(image[ch, out_row * stride + fr])
-                                out[img, out_ch, out_row] += pe.row_conv(
-                                    stride=stride
-                                )
-                # Vertical psum accumulation through the segment: one
-                # drain wavefront per pass *per image*, staggered one
-                # cycle per occupied column (see module docstring).
-                wavefront_cycles += n * (kh + ow + rows_this_pass - 1)
-        stats = SimulationStats(
-            total_pe_cycles=sum(pe.cycles for pe in segment),
-            wavefront_cycles=wavefront_cycles,
-            pes_used=kh * min(cols, oh),
-            load_cycles=sum(pe.load_cycles for pe in segment),
-        )
-        return out, stats
+__all__ = ["SimulationStats", "simulate_conv_rowstationary"]
 
 
 def simulate_conv_rowstationary(
@@ -197,9 +45,54 @@ def simulate_conv_rowstationary(
     stride: int = 1,
     config: ArrayConfig | None = None,
     pad: int = 0,
-    fidelity: str = "fast",
 ) -> tuple[np.ndarray, SimulationStats]:
-    """Convenience wrapper over :class:`FunctionalSystolicArray`."""
-    return FunctionalSystolicArray(config, fidelity=fidelity).conv2d(
-        x, weights, stride=stride, pad=pad
+    """Row-stationary convolution of one image or a batch.
+
+    Parameters
+    ----------
+    x:
+        Input activations, (C, H, W) for one image or (N, C, H, W)
+        for a batch; a batch repeats the schedule per image, so the
+        MAC and wavefront counters scale linearly with N.
+    weights:
+        Filters (OC, C, KH, KW).
+    stride:
+        Convolution stride.
+    config:
+        Array geometry (defaults to the paper's 32x32 grid).
+    pad:
+        Symmetric zero padding applied before the array sees the
+        input (the global buffer pads on the fly; the array charges
+        for the padded extents).
+
+    Returns
+    -------
+    output, stats
+        (OC, OH, OW) or (N, OC, OH, OW) result matching the input
+        rank, and cycle statistics.
+    """
+    config = config or PAPER_ARRAY
+    x = np.asarray(x, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    single = x.ndim == 3
+    if single:
+        x = x[None]
+    if x.ndim != 4 or weights.ndim != 4:
+        raise ValueError("x must be (C,H,W) or (N,C,H,W) and weights (OC,C,KH,KW)")
+    n, c, h, w = x.shape
+    oc, wc, kh, kw = weights.shape
+    if wc != c:
+        raise ValueError(f"channel mismatch: input {c}, weights {wc}")
+    if kh > config.rows:
+        raise ValueError("filter taller than the array")
+    if pad < 0:
+        raise ValueError("pad must be non-negative")
+    if (h + 2 * pad - kh) // stride + 1 <= 0 or (w + 2 * pad - kw) // stride + 1 <= 0:
+        raise ValueError("filter larger than input")
+
+    out = conv2d_gemm(x, weights, stride=stride, pad=pad)
+    stats = conv_rowstationary_stats(
+        c, h + 2 * pad, w + 2 * pad, oc, kh, kw,
+        stride=stride, config=config, batch=n,
     )
+    return (out[0] if single else out), stats

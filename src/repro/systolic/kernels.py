@@ -2,12 +2,12 @@
 :mod:`repro.nn.layers`.
 
 One implementation of the im2col/GEMM idiom serves every consumer: the
-functional systolic fast path (:mod:`repro.systolic.functional`), the
-GEMM convolution backprop (:mod:`repro.systolic.gemm_backward`) and the
-NumPy training layers (:mod:`repro.nn.layers`).  ``im2col`` builds the
-unfolded matrix from a stride-tricks sliding-window view — no Python
-loop over kernel taps — and every product is a single (batched) BLAS
-call via ``np.matmul``/``np.tensordot``.
+functional systolic datapath (:mod:`repro.systolic.functional`), the
+systolic execution backend and the NumPy training layers
+(:mod:`repro.nn.layers`).  ``im2col`` builds the unfolded matrix from a
+stride-tricks sliding-window view — no Python loop over kernel taps —
+and every product is a single (batched) BLAS call via
+``np.matmul``/``np.tensordot``.
 
 This module deliberately imports nothing but NumPy so it can sit at the
 bottom of the dependency graph (``repro.nn`` and ``repro.systolic``

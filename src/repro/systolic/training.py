@@ -1,4 +1,4 @@
-"""Whole-network training-step simulation on the systolic array.
+"""Whole-network training-step cost on the systolic array.
 
 Fig. 3b defines one training iteration as batch-N forward passes plus
 the backward passes of the trainable tail, all on the same datapath
@@ -9,40 +9,35 @@ that serves inference.  This module costs exactly that end to end:
   :mod:`repro.systolic.fc_functional`;
 * **dL/dX** — the Fig. 8 transposed pass.  For FC layers it runs on the
   layer's own resident weight tiles; for conv layers the paper's GEMM
-  formulation (Section V.B, :mod:`repro.systolic.gemm_backward`)
-  im2col-expands the input, after which "the backpropagation of CONV
-  becomes same as the backpropagation of FC layers" — the ``(F x OC)``
-  filter matrix streams transposed against the expanded gradient rows
-  and the result folds back with col2im on the vector units;
+  formulation (Section V.B) im2col-expands the input, after which "the
+  backpropagation of CONV becomes same as the backpropagation of FC
+  layers" — the ``(F x OC)`` filter matrix streams transposed against
+  the expanded gradient rows and the result folds back with col2im on
+  the vector units;
 * **dL/dW** — the streamed outer product: activation columns (FC) or
   expansion columns (conv) stream through resident upstream-gradient
   tiles, a Fig. 7 pass whose stationary matrix is the gradient;
 * **weight update** — the trainable scalars written back per step
   (the SRAM/NVM traffic the projection charges).
 
-Two fidelities share the API, mirroring the forward fast path:
-``fidelity="fast"`` computes every product as one BLAS GEMM with
-closed-form counters from :mod:`repro.systolic.cycles`;
-``fidelity="pe"`` routes every pass through the loop-level oracles
-(per-PE row convolutions, explicit tile schedules).  The counters are
-*exactly* equal (integer equality over a property-tested grid in
-``tests/test_systolic_training_equivalence.py``), and
-:func:`training_step_stats` / :func:`network_training_step_cost`
-produce the same numbers without executing any numerics at all — the
-cheap path the execution backends charge per training update.
+Every count is closed form: :func:`training_step_stats` walks a spec
+and :func:`network_training_step_cost` a built ``Network``, with no
+numerics executed — the cheap path the execution backends charge per
+training update.  The executed step these counts stand for (fast GEMMs
+or the loop-level PE oracle, chained gradients included) is a
+test-only reference (``tests/pe_reference.py``); the counters are
+*exactly* equal to it over a property-tested grid
+(``tests/test_systolic_training_equivalence.py``).
 
 ReLU (comparators), max-pool routing, local response norm, bias adds
 and the col2im fold run outside the MAC datapath and charge no array
-cycles; norm layers are skipped numerically too, exactly as in
+cycles; norm layers charge nothing, exactly as in
 :func:`repro.systolic.bench.simulate_network_forward`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.systolic.array import ArrayConfig, PAPER_ARRAY
 from repro.systolic.cycles import (
@@ -52,22 +47,12 @@ from repro.systolic.cycles import (
     fc_tile_stats,
     fc_weight_grad_stats,
 )
-from repro.systolic.fc_functional import (
-    simulate_fc_backward_transposed,
-    simulate_fc_forward,
-)
-from repro.systolic.functional import FunctionalSystolicArray, check_fidelity
-from repro.systolic.kernels import col2im, im2col
 
 __all__ = [
     "LayerTrainingCost",
     "TrainingStepCost",
-    "TrainingStepResult",
-    "TrainingBenchResult",
     "training_step_stats",
     "network_training_step_cost",
-    "simulate_network_training_step",
-    "bench_training_fast_vs_pe",
 ]
 
 
@@ -129,9 +114,7 @@ class TrainingStepCost:
 
     network: str
     batch: int
-    fidelity: str  # "closed-form" | "fast" | "pe"
     layers: tuple[LayerTrainingCost, ...]
-    wall_seconds: float = 0.0
 
     @property
     def total_forward_cycles(self) -> int:
@@ -195,19 +178,6 @@ class TrainingStepCost:
     def counters(self) -> tuple:
         """Per-layer counter signatures (exact equality across paths)."""
         return tuple(l.counters for l in self.layers)
-
-
-@dataclass(frozen=True)
-class TrainingStepResult:
-    """A *simulated* training step: cost plus the gradients it computed."""
-
-    cost: TrainingStepCost
-    input_batch: np.ndarray
-    output: np.ndarray
-    loss_grad: np.ndarray
-    weight_grads: dict[str, np.ndarray]
-    bias_grads: dict[str, np.ndarray]
-    input_grad: np.ndarray | None
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +306,7 @@ def training_step_stats(
             raise TypeError(f"unknown spec type: {type(layer_spec)!r}")
         layers.append(cost)
     return TrainingStepCost(
-        network=spec.name, batch=batch, fidelity="closed-form",
-        layers=tuple(layers),
+        network=spec.name, batch=batch, layers=tuple(layers),
     )
 
 
@@ -448,353 +417,5 @@ def _network_training_step_cost(
         # ReLU / norm / dropout / flatten: comparator or vector units,
         # shape bookkeeping only — no MAC cycles.
     return TrainingStepCost(
-        network=network.name, batch=batch, fidelity="closed-form",
-        layers=tuple(layers),
-    )
-
-
-# ----------------------------------------------------------------------
-# Executed simulation (fast GEMMs or the PE oracle)
-# ----------------------------------------------------------------------
-def simulate_network_training_step(
-    spec=None,
-    batch: int = 4,
-    fidelity: str = "fast",
-    seed: int = 0,
-    config: ArrayConfig | None = None,
-    train_last_k: int | None = None,
-    network=None,
-) -> TrainingStepResult:
-    """Execute one batch-N training step through the systolic simulators.
-
-    Runs the forward pass layer by layer (caching activations and ReLU
-    masks, executing pools functionally), applies a random loss gradient
-    at the output, then chains the backward GEMMs down to the first
-    trainable layer — dL/dX via the Fig. 8 transposed pass, dL/dW via
-    the streamed outer product, conv layers through the Section V.B
-    im2col expansion.  Counter totals are exactly the closed-form
-    :func:`training_step_stats` at either fidelity.
-
-    ``network`` optionally supplies the weights (a
-    :func:`~repro.nn.alexnet.build_network` instance of the same spec),
-    so the chained gradients can be cross-validated against the float
-    autograd; without it, weights draw from ``seed`` and biases are
-    zero (bias adds ride the drain path and never change the cycle
-    accounting).  Norm layers are skipped numerically, as in the
-    forward bench — pass specs with ``norm=False`` when cross-checking
-    against an autograd network.
-    """
-    from repro.nn.alexnet import modified_alexnet_spec
-    from repro.nn.layers import MaxPool2D
-    from repro.nn.specs import ConvSpec, FCSpec
-
-    check_fidelity(fidelity)
-    if spec is None:
-        spec = modified_alexnet_spec()
-    if batch <= 0:
-        raise ValueError("batch must be positive")
-    rng = np.random.default_rng(seed)
-    sim = FunctionalSystolicArray(config, fidelity=fidelity)
-    array = sim.config
-    first_trainable = _first_trainable_spec_index(len(spec.layers), train_last_k)
-
-    by_name = {}
-    if network is not None:
-        by_name = {layer.name: layer for _i, layer in network.parametric_layers()}
-
-    def layer_weights(layer_spec, shape):
-        if layer_spec.name in by_name:
-            layer = by_name[layer_spec.name]
-            return layer.weight.value, layer.bias.value
-        weights = rng.normal(size=shape, scale=0.05)
-        return weights, np.zeros(shape[0] if len(shape) == 4 else shape[1])
-
-    x = rng.normal(
-        size=(batch, spec.input_channels, spec.input_side, spec.input_side)
-    )
-    input_batch = x.copy()
-    start = time.perf_counter()
-
-    # Forward walk, caching what the backward chain needs.
-    caches: list[dict] = []
-    flattened = False
-    for layer_spec in spec.layers:
-        cache: dict = {"spec": layer_spec}
-        if isinstance(layer_spec, ConvSpec):
-            w, b = layer_weights(
-                layer_spec,
-                (
-                    layer_spec.out_channels, layer_spec.in_channels,
-                    layer_spec.kernel, layer_spec.kernel,
-                ),
-            )
-            cache["x"] = x
-            cache["w"] = w
-            out, fwd_stats = sim.conv2d(
-                x, w, stride=layer_spec.stride, pad=layer_spec.pad
-            )
-            out = out + b[None, :, None, None]
-            cache["fwd_stats"] = fwd_stats
-            cache["mask"] = out > 0
-            x = out * cache["mask"]
-            if layer_spec.pool is not None:
-                pool = MaxPool2D(layer_spec.pool, layer_spec.pool_stride)
-                x = pool.forward(x, training=True)
-                cache["pool"] = pool
-        elif isinstance(layer_spec, FCSpec):
-            if not flattened:
-                x = x.reshape(batch, -1)
-                flattened = True
-            w, b = layer_weights(
-                layer_spec, (layer_spec.in_features, layer_spec.out_features)
-            )
-            cache["x"] = x
-            cache["w"] = w
-            result = simulate_fc_forward(x, w, array=array, fidelity=fidelity)
-            out = result.output + b
-            cache["fwd_result"] = result
-            if layer_spec is not spec.layers[-1]:
-                cache["mask"] = out > 0
-                x = out * cache["mask"]
-            else:
-                x = out
-        else:  # pragma: no cover - spec classes are closed
-            raise TypeError(f"unknown spec type: {type(layer_spec)!r}")
-        caches.append(cache)
-    output = x
-
-    # The training loss gradient at the Q outputs (eq. 1's regression
-    # residual in shape; random values — cycles depend only on shapes).
-    grad = rng.normal(size=output.shape)
-    loss_grad = grad.copy()
-
-    # Backward chain down to the first trainable layer.
-    layers: list[LayerTrainingCost] = []
-    weight_grads: dict[str, np.ndarray] = {}
-    bias_grads: dict[str, np.ndarray] = {}
-    input_grad: np.ndarray | None = None
-    for index in range(len(spec.layers) - 1, -1, -1):
-        cache = caches[index]
-        layer_spec = cache["spec"]
-        trainable = index >= first_trainable
-        if isinstance(layer_spec, FCSpec):
-            if "mask" in cache:
-                grad = grad * cache["mask"]
-            dw_cycles = dx_cycles = dw_macs = dx_macs = weight_elements = 0
-            if trainable:
-                x_in, w = cache["x"], cache["w"]
-                # dW = x^T @ grad: activation columns stream through the
-                # resident gradient tiles (a Fig. 7 pass, batch = in_f).
-                dw_res = simulate_fc_forward(
-                    np.ascontiguousarray(x_in.T), grad, array=array,
-                    fidelity=fidelity,
-                )
-                weight_grads[layer_spec.name] = dw_res.output
-                bias_grads[layer_spec.name] = grad.sum(axis=0)
-                # dX = grad @ W^T: the Fig. 8 transposed pass over the
-                # layer's own resident tiles.
-                dx_res = simulate_fc_backward_transposed(
-                    grad, w, array=array, fidelity=fidelity
-                )
-                dw_cycles, dw_macs = dw_res.total_cycles, dw_res.mac_cycles
-                dx_cycles, dx_macs = dx_res.total_cycles, dx_res.mac_cycles
-                weight_elements = (
-                    layer_spec.in_features * layer_spec.out_features
-                    + layer_spec.out_features
-                )
-                grad = input_grad = dx_res.output
-            fwd = cache["fwd_result"]
-            layers.append(
-                LayerTrainingCost(
-                    name=layer_spec.name, kind="fc",
-                    forward_cycles=fwd.total_cycles,
-                    dw_cycles=dw_cycles, dx_cycles=dx_cycles,
-                    forward_macs=fwd.mac_cycles,
-                    dw_macs=dw_macs, dx_macs=dx_macs,
-                    weight_elements=weight_elements,
-                )
-            )
-        else:  # ConvSpec
-            if index == len(spec.conv_layers) - 1 and grad.ndim == 2:
-                # Un-flatten the gradient entering the conv prefix.
-                n = grad.shape[0]
-                ref = caches[index]
-                pooled = (
-                    ref["pool"].output_shape(*ref["mask"].shape[2:])
-                    if "pool" in ref
-                    else ref["mask"].shape[2:]
-                )
-                grad = grad.reshape(n, layer_spec.out_channels, *pooled)
-            if "pool" in cache:
-                grad = cache["pool"].backward(grad)
-            grad = grad * cache["mask"]
-            dw_cycles = dx_cycles = dw_macs = dx_macs = 0
-            weight_elements = expansion = 0
-            if trainable:
-                x_in, w = cache["x"], cache["w"]
-                k, s, p = layer_spec.kernel, layer_spec.stride, layer_spec.pad
-                oc = layer_spec.out_channels
-                n = x_in.shape[0]
-                # Section V.B: expand the input, then backprop like FC.
-                cols = im2col(x_in, k, k, s, p)  # (N, F, P)
-                f_dim, positions = cols.shape[1], cols.shape[2]
-                cols_rows = cols.transpose(0, 2, 1).reshape(n * positions, f_dim)
-                grad_rows = grad.transpose(0, 2, 3, 1).reshape(n * positions, oc)
-                m = w.reshape(oc, -1).T  # (F, OC), the forward layout
-                # dW: expansion columns stream through gradient tiles.
-                dw_res = simulate_fc_forward(
-                    np.ascontiguousarray(cols_rows.T), grad_rows,
-                    array=array, fidelity=fidelity,
-                )
-                weight_grads[layer_spec.name] = dw_res.output.T.reshape(w.shape)
-                bias_grads[layer_spec.name] = grad_rows.sum(axis=0)
-                # dX: Fig. 8 transposed pass of the filter matrix, then
-                # the col2im fold (vector units, no MAC cycles).
-                dx_res = simulate_fc_backward_transposed(
-                    grad_rows, m, array=array, fidelity=fidelity
-                )
-                dcols = dx_res.output.reshape(n, positions, f_dim).transpose(0, 2, 1)
-                grad = input_grad = col2im(dcols, x_in.shape, k, k, s, p)
-                dw_cycles, dw_macs = dw_res.total_cycles, dw_res.mac_cycles
-                dx_cycles, dx_macs = dx_res.total_cycles, dx_res.mac_cycles
-                expansion = n * f_dim * positions
-                weight_elements = oc * layer_spec.in_channels * k * k + oc
-            fwd = cache["fwd_stats"]
-            layers.append(
-                LayerTrainingCost(
-                    name=layer_spec.name, kind="conv",
-                    forward_cycles=fwd.total_cycles,
-                    dw_cycles=dw_cycles, dx_cycles=dx_cycles,
-                    forward_macs=fwd.total_pe_cycles,
-                    dw_macs=dw_macs, dx_macs=dx_macs,
-                    weight_elements=weight_elements,
-                    expansion_elements=expansion,
-                )
-            )
-        if not trainable:
-            break
-    wall = time.perf_counter() - start
-    # Layers were visited output-to-input; report input-to-output, with
-    # forward-only records for any frozen prefix the loop never reached.
-    visited = {l.name for l in layers}
-    prefix: list[LayerTrainingCost] = []
-    for index, cache in enumerate(caches):
-        layer_spec = cache["spec"]
-        if layer_spec.name in visited:
-            break
-        if isinstance(layer_spec, FCSpec):
-            fwd = cache["fwd_result"]
-            prefix.append(
-                LayerTrainingCost(
-                    name=layer_spec.name, kind="fc",
-                    forward_cycles=fwd.total_cycles, dw_cycles=0, dx_cycles=0,
-                    forward_macs=fwd.mac_cycles, dw_macs=0, dx_macs=0,
-                    weight_elements=0,
-                )
-            )
-        else:
-            fwd = cache["fwd_stats"]
-            prefix.append(
-                LayerTrainingCost(
-                    name=layer_spec.name, kind="conv",
-                    forward_cycles=fwd.total_cycles, dw_cycles=0, dx_cycles=0,
-                    forward_macs=fwd.total_pe_cycles, dw_macs=0, dx_macs=0,
-                    weight_elements=0,
-                )
-            )
-    cost = TrainingStepCost(
-        network=spec.name, batch=batch, fidelity=fidelity,
-        layers=tuple(prefix) + tuple(reversed(layers)),
-        wall_seconds=wall,
-    )
-    return TrainingStepResult(
-        cost=cost,
-        input_batch=input_batch,
-        output=output,
-        loss_grad=loss_grad,
-        weight_grads=weight_grads,
-        bias_grads=bias_grads,
-        input_grad=input_grad,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fast-vs-oracle benchmark harness
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TrainingBenchResult:
-    """Fast-vs-oracle timing of one whole-network training step."""
-
-    network: str
-    batch: int
-    macs: int
-    pe_seconds: float
-    fast_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        """Fast-path speedup over the PE/tile-schedule oracle."""
-        return self.pe_seconds / self.fast_seconds
-
-    @property
-    def fast_macs_per_second(self) -> float:
-        """Simulated MAC throughput of the fast training step."""
-        return self.macs / self.fast_seconds
-
-    @property
-    def pe_macs_per_second(self) -> float:
-        """Simulated MAC throughput of the oracle training step."""
-        return self.macs / self.pe_seconds
-
-
-def bench_training_fast_vs_pe(
-    spec=None,
-    batch: int = 2,
-    seed: int = 0,
-    config: ArrayConfig | None = None,
-    pe_repeats: int = 1,
-    fast_repeats: int = 5,
-) -> TrainingBenchResult:
-    """Time one training step under both fidelities (min over repeats).
-
-    Re-proves on the way that the two paths produce identical integer
-    counters and matching gradients, and that both equal the closed
-    form — every benchmark run re-verifies the equivalence it measures.
-    ``spec`` defaults to a reduced drone net the oracle can finish.
-    """
-    from repro.nn.alexnet import scaled_drone_net_spec
-
-    if spec is None:
-        spec = scaled_drone_net_spec(input_side=16)
-    pe_seconds = float("inf")
-    for _ in range(max(pe_repeats, 1)):
-        start = time.perf_counter()
-        pe = simulate_network_training_step(
-            spec, batch=batch, fidelity="pe", seed=seed, config=config
-        )
-        pe_seconds = min(pe_seconds, time.perf_counter() - start)
-    fast_seconds = float("inf")
-    for _ in range(max(fast_repeats, 1)):
-        start = time.perf_counter()
-        fast = simulate_network_training_step(
-            spec, batch=batch, fidelity="fast", seed=seed, config=config
-        )
-        fast_seconds = min(fast_seconds, time.perf_counter() - start)
-
-    if fast.cost.counters != pe.cost.counters:
-        raise RuntimeError(
-            f"training counters diverged: fast {fast.cost.counters} "
-            f"vs oracle {pe.cost.counters}"
-        )
-    closed = training_step_stats(
-        spec, batch=batch, config=config or PAPER_ARRAY
-    )
-    if closed.counters != pe.cost.counters:
-        raise RuntimeError("closed-form counters diverged from the oracle")
-    for name, grad in fast.weight_grads.items():
-        if not np.allclose(grad, pe.weight_grads[name], rtol=1e-9, atol=1e-9):
-            raise RuntimeError(f"{name}: fast dW diverged from the oracle")
-    return TrainingBenchResult(
-        network=spec.name, batch=batch, macs=fast.cost.total_macs,
-        pe_seconds=pe_seconds, fast_seconds=fast_seconds,
+        network=network.name, batch=batch, layers=tuple(layers),
     )

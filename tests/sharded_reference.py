@@ -7,8 +7,8 @@ the batch really splits into chunks (sample) or micro-batches × stages
 (pipeline), or every array really holds its own sliced copy of each
 layer and computes its output slice from the broadcast activation
 (layer); every piece executes, and the cost is read off the executed
-cycle counts.  It plays the role ``fidelity="pe"`` plays for the
-kernels — slow, literal, and the oracle the fast path is checked
+cycle counts.  It plays the role ``tests/pe_reference.py`` plays for
+the kernels — slow, literal, and the oracle the fast path is checked
 against in ``tests/``.
 
 :func:`reference_train_cost` is the matching literal walk of the
@@ -30,7 +30,6 @@ from repro.faults.injector import FAULTS
 from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.network import Network
 from repro.obs.probes import PROBE
-from repro.systolic.functional import FunctionalSystolicArray
 from repro.systolic.training import network_training_step_cost
 
 
@@ -136,11 +135,6 @@ def _forward_pipeline(backend, x):
     layer_cycles: dict[str, int] = {}
     macs = 0
     outputs = []
-    pe_sim = (
-        FunctionalSystolicArray(backend.config, fidelity="pe")
-        if backend.datapath.fidelity == "pe"
-        else None
-    )
     child = backend.datapath
     requantize = child._requantize
     for m, chunk in enumerate(chunks):
@@ -153,7 +147,7 @@ def _forward_pipeline(backend, x):
             for index in range(lo, hi):
                 layer = backend.network.layers[index]
                 if isinstance(layer, (Conv2D, Dense)):
-                    h, cycles, macs_m = child.forward_layer(layer, h, pe_sim)
+                    h, cycles, macs_m = child.forward_layer(layer, h)
                     stage_cycles += cycles
                     macs += macs_m
                     layer_cycles[layer.name] = (
@@ -417,8 +411,8 @@ def _slice_arrays(backend, alive):
     arrays = {
         k: SystolicBackend(
             Network(layers or [Dense(1, 1, name=f"idle{k}")], name=f"shard{k}"),
-            config=datapath.config, fidelity=datapath.fidelity,
-            quantized=datapath.quantized, weight_format=datapath.weight_format,
+            config=datapath.config, quantized=datapath.quantized,
+            weight_format=datapath.weight_format,
             activation_format=datapath.activation_format,
         )
         for k, layers in per_array.items()
@@ -439,11 +433,6 @@ def _forward_layer(backend, x):
     if not active:
         return backend._forward_degraded(x)
     plan, arrays = _slice_arrays(backend, active)
-    pe_sim = (
-        FunctionalSystolicArray(backend.config, fidelity="pe")
-        if backend.datapath.fidelity == "pe"
-        else None
-    )
     requantize = backend.datapath._requantize
     h = requantize(x)
     shard_cycles = [0] * backend.shards
@@ -462,7 +451,7 @@ def _forward_layer(backend, x):
             slice_cycles = []
             for k, sliced in plan[index]:
                 start = time.perf_counter_ns()
-                out_k, cycles_k, macs_k = arrays[k].forward_layer(sliced, h, pe_sim)
+                out_k, cycles_k, macs_k = arrays[k].forward_layer(sliced, h)
                 PROBE.record_span(
                     "shard.forward", time.perf_counter_ns() - start,
                     cycles=cycles_k, shard=k, layer=layer.name,

@@ -6,8 +6,9 @@ The backend seam's contracts:
   behaviour) with a zero cycle budget;
 * ``QuantizedBackend`` is bitwise ``QuantizedNetwork.predict_batch``;
 * ``SystolicBackend`` (quantized) is bitwise the quantized backend —
-  the integer GEMM datapath computes the exact same numbers — and its
-  ``pe`` fidelity passthrough matches ``fast`` over a shape grid;
+  the integer GEMM datapath computes the exact same numbers — and a
+  forward through the loop-level PE oracle (``tests/pe_reference.py``)
+  matches it bitwise, cycle for cycle, over a shape grid;
 * cycle budgets come from the closed-form systolic accounting and
   thread through the agent's ledger into fleet round reports;
 * after an online training update, ``sync()`` write-back keeps the
@@ -32,6 +33,8 @@ from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
 from repro.nn.network import Network
 from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
 from repro.systolic import conv_rowstationary_stats, fc_tile_stats
+
+from pe_reference import oracle_forward
 
 SIDE = 16
 
@@ -206,8 +209,10 @@ class TestSystolicBackend:
     def test_fast_vs_pe_fidelity_agree(
         self, channels, side, filters, kernel, stride, features
     ):
-        """The pe oracle passthrough computes the exact same raw-integer
-        datapath results and cycle budgets as the GEMM fast path."""
+        """Every parametric layer run through the PE oracle on the served
+        weights, with the backend's requantisation, computes the exact
+        same raw-integer datapath results and cycle budgets as the GEMM
+        fast path."""
         rng = np.random.default_rng(side * kernel + stride)
         conv = Conv2D(channels, filters, kernel, stride=stride, name="c", rng=rng)
         out_c, oh, ow = conv.output_shape(side, side)
@@ -217,11 +222,12 @@ class TestSystolicBackend:
             name="grid-net",
         )
         states = rng.uniform(0, 1, size=(3, channels, side, side))
-        fast_q, fast_cost = SystolicBackend(net, fidelity="fast").forward_batch(states)
-        pe_q, pe_cost = SystolicBackend(net, fidelity="pe").forward_batch(states)
+        backend = SystolicBackend(net)
+        fast_q, fast_cost = backend.forward_batch(states)
+        pe_q, pe_layer_cycles = oracle_forward(backend, states)
         assert np.array_equal(fast_q, pe_q)
-        assert fast_cost.layer_cycles == pe_cost.layer_cycles
-        assert fast_cost.total_cycles == pe_cost.total_cycles > 0
+        assert fast_cost.layer_cycles == pe_layer_cycles
+        assert fast_cost.total_cycles == sum(pe_layer_cycles.values()) > 0
 
     def test_cycle_budgets_are_the_closed_form_stats(self, rng):
         net = make_net()
@@ -279,10 +285,6 @@ class TestSystolicBackend:
     def test_state_batch_shape_validated(self):
         with pytest.raises(ValueError, match="state batch"):
             SystolicBackend(make_net()).forward_batch(np.zeros((SIDE, SIDE)))
-
-    def test_bad_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            SystolicBackend(make_net(), fidelity="warp")
 
 
 class TestTrainCost:

@@ -509,7 +509,13 @@ def _assert_poisoned_weights_recovered(backend, served) -> None:
     assert anomaly[0].detected and anomaly[0].recovered
     assert "recompute" in anomaly[0].detail
     # The served snapshot is clean again.
-    assert np.isfinite(backend.forward_batch(states)[0]).all()
+    clean_q, clean = backend.forward_batch(states)
+    assert np.isfinite(clean_q).all()
+    # The recompute is charged its cycles but serves the same batch:
+    # the ledger holds 4 states and two clean forwards' cycles.
+    ledger = agent.drain_inference_cost()
+    assert ledger.states == 4
+    assert ledger.total_cycles == 2 * clean.total_cycles
 
 
 class TestQValueGuard:

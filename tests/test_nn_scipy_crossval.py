@@ -15,11 +15,12 @@ scipy_ndimage = pytest.importorskip("scipy.ndimage")
 
 from repro.nn.layers import Conv2D, MaxPool2D
 from repro.systolic import (
-    conv_backward_gemm,
     simulate_conv_rowstationary,
     simulate_fc_backward_transposed,
     simulate_fc_forward,
 )
+
+from pe_reference import conv_backward_gemm
 
 
 class TestConvAgainstScipy:

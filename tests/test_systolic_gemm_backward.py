@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn.layers import Conv2D
-from repro.systolic import conv_backward_gemm
+
+from pe_reference import conv_backward_gemm
 
 
 def reference_grads(x, weights, grad_out, stride, pad, rng):

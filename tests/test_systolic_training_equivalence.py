@@ -26,14 +26,18 @@ from repro.nn.specs import ConvSpec, FCSpec, NetworkSpec
 from repro.rl import config_by_name
 from repro.systolic import (
     ArrayConfig,
-    conv_backward_gemm,
     conv_backward_gemm_stats,
     fc_backward_stats,
     fc_tile_stats,
     fc_weight_grad_stats,
     network_training_step_cost,
-    simulate_network_training_step,
     training_step_stats,
+)
+
+from pe_reference import (
+    conv_backward_gemm,
+    simulate_conv,
+    simulate_network_training_step,
 )
 
 scipy_signal = pytest.importorskip("scipy.signal")
@@ -319,18 +323,13 @@ class TestConvWeightReuseRegression:
     def test_conv_load_cycles_match_oracle(self, fidelity):
         """The PE oracle's load counter equals the closed form: one
         broadside cycle per filter row per channel per column pass."""
-        from repro.systolic import (
-            conv_rowstationary_stats,
-            simulate_conv_rowstationary,
-        )
+        from repro.systolic import conv_rowstationary_stats
 
         rng = np.random.default_rng(0)
         config = ArrayConfig(rows=4, cols=4)
         x = rng.normal(size=(3, 2, 8, 8))
         w = rng.normal(size=(2, 2, 3, 3))
-        _, stats = simulate_conv_rowstationary(
-            x, w, config=config, fidelity=fidelity
-        )
+        _, stats = simulate_conv(x, w, config=config, fidelity=fidelity)
         # oh = 6 on a 4-column array -> 2 passes; 2 oc x 2 ch x 3 rows.
         assert stats.load_cycles == 2 * 2 * 2 * 3
         closed = conv_rowstationary_stats(
