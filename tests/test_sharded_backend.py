@@ -54,6 +54,7 @@ def make_net(seed: int = 0) -> Network:
 #: write the float weights they serve).
 NET = make_net()
 LAST_PARAM = max(i for i, _layer in NET.parametric_layers())
+LAYER_NAMES = tuple(layer.name for _i, layer in NET.parametric_layers())
 
 
 @pytest.fixture(scope="module")
@@ -692,41 +693,89 @@ class TestModelParallelTraining:
         assert tc.critical_path_cycles < sum(tc.shard_cycles)
 
     @pytest.mark.parametrize(
-        "policy,shards,noc,batch,frozen_prefix,expected",
+        "call,policy,shards,noc,batch,killed,expected,layers",
         [
-            ("sample", 4, "flat", 16, False,
-             (519608, 42207, 42207, 0, 1909604, 1709568)),
-            ("sample", 8, "ring", 33, True,
-             (187375, 336, 2640, 0, 1235947, 1185888)),
-            ("sample", 3, "mesh", 7, False,
-             (366218, 5277, 42207, 0, 852207, 747936)),
-            ("pipeline", 4, "flat", 16, False,
-             (700200, 20480, 20480, 20446, 2085200, 1709568)),
-            ("pipeline", 8, "ring", 33, False,
-             (674479, 19010, 152050, 42801, 4300725, 3525984)),
-            ("pipeline", 3, "mesh", 33, True,
-             (448587, 600, 4800, 12651, 1262547, 1185888)),
-            ("pipeline", 8, "ring", 33, True,
-             (192306, 1011, 8058, 14482, 1262547, 1185888)),
-            ("pipeline", 6, "mesh", 7, False,
-             (272652, 3223, 25781, 83957, 912275, 747936)),
+            ("train", "sample", 4, "flat", 16, (),
+             (519608, 42207, 42207, 0, 1909604, 1709568),
+             (684036, 538544, 85680, 336416, 170016, 84624, 10288)),
+            ("train-frozen", "sample", 8, "ring", 33, (),
+             (187375, 336, 2640, 0, 1235947, 1185888),
+             (428000, 349440, 55824, 216960, 109792, 54768, 21163)),
+            ("train", "sample", 3, "mesh", 7, (),
+             (366218, 5277, 42207, 0, 852207, 747936),
+             (299347, 235607, 39525, 155342, 78542, 39063, 4781)),
+            ("train", "pipeline", 4, "flat", 16, (),
+             (700200, 20480, 20480, 20446, 2085200, 1709568),
+             (684816, 553232, 105264, 414752, 209952, 104208, 12976)),
+            ("train", "pipeline", 8, "ring", 33, (),
+             (674479, 19010, 152050, 42801, 4300725, 3525984),
+             (1412433, 1141041, 217107, 855426, 433026, 214929, 26763)),
+            ("train-frozen", "pipeline", 3, "mesh", 33, (),
+             (448587, 600, 4800, 12651, 1262547, 1185888),
+             (429000, 359040, 57024, 221760, 112992, 55968, 26763)),
+            ("train-frozen", "pipeline", 8, "ring", 33, (),
+             (192306, 1011, 8058, 14482, 1262547, 1185888),
+             (429000, 359040, 57024, 221760, 112992, 55968, 26763)),
+            ("train", "pipeline", 6, "mesh", 7, (),
+             (272652, 3223, 25781, 83957, 912275, 747936),
+             (299607, 242039, 46053, 181454, 91854, 45591, 5677)),
+            ("forward", "sample", 4, "flat", 16, (),
+             (148152, 60, 60, 0, 592368, 569856),
+             (207520, 169472, 27072, 105216, 53248, 26560, 3280)),
+            ("forward", "sample", 8, "ring", 5, (),
+             (37687, 10, 50, 0, 188385, 178080),
+             (65000, 54400, 8640, 33600, 17120, 8480, 1145)),
+            ("forward", "sample", 4, "mesh", 7, (1,),
+             (111293, 6, 30, 0, 260251, 249312),
+             (90840, 74624, 11904, 46272, 23456, 11680, 1475)),
+            ("forward", "layer", 4, "flat", 16, (),
+             (176842, 26560, 26560, 0, 599544, 569856),
+             (207400, 168320, 27200, 107904, 55040, 28864, 4816)),
+            ("forward", "layer", 8, "ring", 33, (),
+             (187600, 28462, 227370, 0, 1266573, 1175328),
+             (427720, 346752, 58208, 235200, 121952, 65856, 10885)),
+            ("forward", "layer", 4, "mesh", 7, (2,),
+             (96259, 1722, 13727, 0, 261067, 249312),
+             (90760, 73856, 11808, 46656, 23712, 12352, 1923)),
+            ("forward", "pipeline", 4, "flat", 16, (),
+             (200341, 1024, 1024, 5349, 602832, 569856),
+             (208000, 174080, 27648, 107520, 54784, 27136, 3664)),
+            ("forward", "pipeline", 8, "ring", 3, (),
+             (37761, 84, 663, 13000, 113031, 106848),
+             (39000, 32640, 5184, 20160, 10272, 5088, 687)),
+            ("forward", "pipeline", 6, "mesh", 33, (0,),
+             (290386, 112, 848, 27594, 1243341, 1175328),
+             (429000, 359040, 57024, 221760, 112992, 55968, 7557)),
         ],
     )
     def test_train_cost_pinned(
-        self, policy, shards, noc, batch, frozen_prefix, expected
+        self, call, policy, shards, noc, batch, killed, expected, layers
     ):
-        """Pinned training-step bills — (critical, merge, merge hops,
-        fill/drain, summed per-array cycles, MACs): pricing the
-        schedule may not move one cycle of them."""
+        """Pinned training-step and forward bills — (critical, merge,
+        merge hops, fill/drain, summed per-array cycles, MACs) plus the
+        per-layer work cycles: re-planning or re-pricing the schedule
+        may not move one cycle of them.  ``train-frozen`` trains only
+        the last parametric layer; ``killed`` arrays crash before the
+        call (a forward on the survivors)."""
         backend = ShardedBackend(NET, shards=shards, shard=policy, noc=noc)
-        cost = backend.train_cost(
-            batch, (1, SIDE, SIDE),
-            first_trainable=LAST_PARAM if frozen_prefix else 0,
-        )
+        plan = FaultPlan(seed=0, shard_crashes=tuple((1, k) for k in killed))
+        with chaos(plan) as inj:
+            inj.note_step()
+            if call == "forward":
+                states = np.random.default_rng(batch).uniform(
+                    0, 1, size=(batch, 1, SIDE, SIDE)
+                )
+                cost = backend.forward_batch(states)[1]
+            else:
+                cost = backend.train_cost(
+                    batch, (1, SIDE, SIDE),
+                    first_trainable=LAST_PARAM if call == "train-frozen" else 0,
+                )
         assert (
             cost.critical_path_cycles, cost.merge_cycles, cost.merge_hops,
             cost.fill_drain_cycles, sum(cost.shard_cycles), cost.macs,
         ) == expected
+        assert cost.layer_cycles == dict(zip(LAYER_NAMES, layers))
 
     def test_train_cost_merge_survives_accumulation(self):
         """The NoC and pipeline fields flow through ``+``."""
