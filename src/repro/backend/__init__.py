@@ -43,7 +43,7 @@ from repro.backend.base import (
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.quantized_backend import QuantizedBackend
 from repro.backend.systolic_backend import SystolicBackend
-from repro.backend.sharded import SHARD_POLICIES, ShardedBackend
+from repro.backend.sharded import SHARD_POLICIES, ShardedBackend, ShardPlan
 
 __all__ = [
     "BACKENDS",
@@ -56,5 +56,6 @@ __all__ = [
     "QuantizedBackend",
     "SystolicBackend",
     "ShardedBackend",
+    "ShardPlan",
     "SHARD_POLICIES",
 ]

@@ -105,7 +105,9 @@ class StepCost:
     * ``merge_hops`` — element-hops of that traffic (== the element
       count under ``flat``'s single hop; larger on ring/mesh hauls);
     * ``fill_drain_cycles`` — cycles the critical path spent on
-      pipeline fill/drain bubbles (``shard="pipeline"`` only);
+      fill/drain bubbles: the makespan less the busiest array's (or
+      output-split stage's) own time, non-zero only for multi-stage
+      plans;
     * ``noc`` — the topology name the merge was costed on.
 
     ``a + b`` sums two records field by field: counters add, maps add

@@ -4,31 +4,36 @@ The ROADMAP's "serves heavy traffic" direction needs more than one
 32x32 array.  :class:`ShardedBackend` models K simulated arrays over
 one :class:`~repro.backend.systolic_backend.SystolicBackend` datapath
 behind the ordinary ``forward_batch(states) -> (q_values, cost)``
-seam, under three shard policies:
+seam.  Where each layer's work runs is one value, a
+:class:`ShardPlan`: the parametric layers cut into contiguous *stages*,
+each stage owns a disjoint set of arrays and splits its work either by
+**batch rows** (each micro-batch runs the whole stage on one of its
+arrays, a replicated stage taking micro-batches round-robin) or by
+**output channels** (every array computes a slice of each layer's conv
+filters / FC output neurons from the full input activation), and the
+batch streams through the stages in micro-batches.  The three shard
+policies are three constructors of that plan over the surviving
+arrays:
 
-* ``shard="sample"`` — data parallelism: the observation batch splits
-  into K contiguous chunks (:func:`numpy.array_split` semantics, so
-  uneven batches work) and each array runs the *whole* network over
-  its chunk with a full weight copy.  Only the Q-value gather crosses
-  arrays.
-* ``shard="layer"`` — tensor parallelism: every array holds ``1/K`` of
-  each layer's weights (conv filters / FC output neurons, contiguous
-  slices) and computes that slice of the layer's output from the full
-  input activation; after every parametric layer the slices gather
-  into the full activation, which is re-broadcast to all arrays for
-  the next layer.
-* ``shard="pipeline"`` — pipeline parallelism: the network's layers
-  partition into contiguous *stages*, each stage owned by one or more
-  arrays (heterogeneous widths: the stage assignment is balanced on
-  the closed-form cycle oracle, and a hot stage may be replicated
-  across several arrays, which then take micro-batches round-robin).
-  The batch streams through the stages in ``pipeline_chunk``-sized
-  micro-batches; the schedule's fill/drain bubbles are charged
-  explicitly (``StepCost.fill_drain_cycles``) and only the
-  stage-boundary activations cross arrays — so it keeps scaling where
-  the layer policy's per-layer all-gather collapses.
+* ``shard="sample"`` — data parallelism: one batch-split stage; the
+  batch splits into contiguous chunks (:func:`numpy.array_split`
+  semantics, so uneven batches work), one per array, and each array
+  runs the *whole* network over its chunk with a full weight copy.
+  Only the Q-value gather crosses arrays.
+* ``shard="layer"`` — tensor parallelism: one output-split stage over
+  every array, one micro-batch; after every parametric layer the
+  slices gather into the full activation, which is re-broadcast to the
+  arrays of the next layer.
+* ``shard="pipeline"`` — pipeline parallelism: several batch-split
+  stages balanced on the closed-form cycle oracle (heterogeneous
+  widths: a hot stage may own several arrays); the batch streams
+  through in micro-batches of about ``batch / (8 K)`` rows, the
+  schedule's fill/drain bubbles are charged explicitly
+  (``StepCost.fill_drain_cycles``) and only the stage-boundary
+  activations cross arrays — so it keeps scaling where the layer
+  policy's per-layer all-gather collapses.
 
-All policies are **bitwise-equal** to the single-array path when
+Every plan is **bitwise-equal** to the single-array path when
 ``quantized=True`` (the default): every sample's and every output
 channel's arithmetic is the exact same integer datapath — splitting a
 batch or slicing an output dimension removes no term and reorders no
@@ -37,40 +42,37 @@ elementwise, so it commutes with the concatenation that merges shard
 outputs.
 
 **Plan, then price.**  Because the numerics cannot tell the schedules
-apart, no policy re-executes the batch chunk by chunk, stage by stage
-or slice by slice.  ``forward_batch`` runs *one* forward over the
-whole batch on that datapath — one serving buffer, the paper's single
-quantised SRAM copy of the weights — and prices the schedule in
-closed form: one pure function per policy maps
-``(plan, chunk sizes, state shape, survivors, NoC)`` to a
+apart, nothing re-executes the batch chunk by chunk, stage by stage or
+slice by slice.  ``forward_batch`` runs *one* forward over the whole
+batch on that datapath — one serving buffer, the paper's single
+quantised SRAM copy of the weights — and prices the plan in closed
+form: one pure function maps ``(plan, state shape)`` and the backend's
+geometry, array config and NoC to a
 :class:`~repro.backend.base.StepCost`, built on the closed-form
 per-layer cycle oracles of :mod:`repro.systolic.training` (whose
-cycles equal the executed ones exactly).  The plan itself is a pure
-function of the surviving arrays: chunk sizes (sample), the stage
-layout (pipeline), or each parametric layer's ``(array, lo, hi)``
-output slices (layer), so a crash failover re-plans without touching
+cycles equal the executed ones exactly).  The plan is a pure function
+of the surviving arrays, so a crash failover re-plans without touching
 the weights.  The same function prices ``train_cost`` — forward +
 backward plus the gradient traffic instead of the Q-row gather — and
 its fault-free result is memoised beside the oracles it is built on,
 so a steady-state forward costs one single-array forward plus one memo
 lookup.  Chaos retries and stragglers then stretch the priced
-per-array cycles.  The executing schedules live on as a test-only
-reference (``tests/sharded_reference.py``) that the priced costs are
-checked against field by field — the role the loop-level PE oracle
-(``tests/pe_reference.py``) plays for the kernels.
+per-array cycles.  A literal executor of any plan lives on as a
+test-only reference (``tests/sharded_reference.py``) that the priced
+costs are checked against field by field — the role the loop-level PE
+oracle (``tests/pe_reference.py``) plays for the kernels.
 
 Costs come back as a :class:`~repro.backend.base.StepCost` with its
 schedule fields filled: ``layer_cycles`` stay *work* (summed over
 arrays — note each array charges its own FC tile loads, so sharded
 work slightly exceeds single-array work), ``shard_cycles`` are
 per-array totals, ``critical_path_cycles`` is the wall-clock of the
-parallel schedule (max over arrays per parallel region, plus merge
-traffic), and ``merge_cycles`` charges every element that crosses an
-inter-array link (gathers, layer-sharding's re-broadcasts, pipeline
-stage hand-offs) on the backend's :class:`~repro.systolic.noc.NocModel`
-— the default ``flat`` topology is exactly the legacy
-one-cycle-per-element model, while ``ring`` and ``mesh`` pay real hop
-counts over 128-bit links.
+parallel schedule (its makespan plus merge traffic), and
+``merge_cycles`` charges every element that crosses an inter-array
+link (gathers, re-broadcasts, stage hand-offs, gradient reductions) on
+the backend's :class:`~repro.systolic.noc.NocModel` — the default
+``flat`` topology is exactly the legacy one-cycle-per-element model,
+while ``ring`` and ``mesh`` pay real hop counts over 128-bit links.
 """
 
 from __future__ import annotations
@@ -85,51 +87,60 @@ from repro.backend.systolic_backend import SystolicBackend
 from repro.faults.injector import FAULTS
 from repro.obs.probes import PROBE
 from repro.fixedpoint.qformat import QFormat, Q2_13, Q8_8
-from repro.nn.layers import Conv2D, Dense, MaxPool2D
 from repro.nn.network import Network
 from repro.parallel import memo as _memo
 from repro.systolic.array import ArrayConfig
 from repro.systolic.noc import NocModel
 from repro.systolic.training import (
-    _conv_layer_cost,
-    _fc_layer_cost,
+    _layer_cost,
+    _layer_walk,
     _network_cost_signature,
     network_training_step_cost,
 )
 
-__all__ = ["ShardedBackend", "SHARD_POLICIES"]
-
-#: Supported shard policies.
-SHARD_POLICIES = ("sample", "layer", "pipeline")
+__all__ = ["ShardedBackend", "ShardPlan", "SHARD_POLICIES"]
 
 
-# ----------------------------------------------------------------------
-# Pipeline policy: stage partitioning and the chunked schedule
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PipelinePlan:
-    """Stage layout of the ``pipeline`` policy over the alive arrays.
+class ShardPlan:
+    """Where every piece of a batch's work runs, as data.
 
-    ``param_bounds`` cuts the network's *parametric* layers into
-    contiguous stages (``param_bounds[s] : param_bounds[s + 1]``);
-    ``layer_ranges`` are the matching index ranges into the full built
-    layer list (non-parametric layers ride with the stage of the
-    parametric layer they follow).  ``stage_arrays[s]`` lists the
-    original array indices serving stage ``s`` — more than one when the
-    oracle replicated a hot stage.
+    ``bounds`` cuts the network's *parametric* layers into contiguous
+    stages (``bounds[s] : bounds[s + 1]``); non-parametric layers ride
+    with the parametric layer they follow.  Stage ``s`` owns the
+    original array indices ``arrays[s]`` (disjoint across stages; the
+    order matters) and splits its work by ``splits[s]``:
+
+    * ``"batch"`` — each micro-batch runs the whole stage on one of the
+      stage's arrays, the earliest free (ties to the first), so a
+      replicated stage takes micro-batches round-robin;
+    * ``"output"`` — every array computes its :meth:`output_slices` of
+      each layer's conv filters / FC output neurons from the full
+      input activation, and the slices gather to the layer's *hub*,
+      the first array holding a slice.
+
+    The batch streams through the stages in micro-batches of ``sizes``
+    rows, in order.
     """
 
-    param_bounds: tuple[int, ...]
-    layer_ranges: tuple[tuple[int, int], ...]
-    stage_arrays: tuple[tuple[int, ...], ...]
+    bounds: tuple[int, ...]
+    arrays: tuple[tuple[int, ...], ...]
+    splits: tuple[str, ...]
+    sizes: tuple[int, ...]
 
-    @property
-    def stages(self) -> int:
-        return len(self.layer_ranges)
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(len(arrays) for arrays in self.stage_arrays)
+    def output_slices(self, stage: int, width: int) -> tuple:
+        """``(array, lo, hi)`` slices of a ``width``-wide layer of an
+        output-split stage: a :func:`numpy.linspace` split over the
+        stage's arrays, in order.  An array whose slice would be empty
+        (a layer narrower than the stage) is left out: it idles and
+        receives no broadcast."""
+        arrays = self.arrays[stage]
+        cuts = np.linspace(0, width, len(arrays) + 1).astype(int)
+        return tuple(
+            (k, int(lo), int(hi))
+            for k, lo, hi in zip(arrays, cuts, cuts[1:])
+            if hi > lo
+        )
 
 
 def _pipeline_schedule(
@@ -246,98 +257,107 @@ def _split_sizes(rows: int, parts: int) -> list[int]:
     return [base + 1] * extra + [base] * (parts - extra)
 
 
-def _row_elements(network: Network, state_shape: tuple[int, ...]) -> list[int]:
-    """Per-row element counts of the tensors that cross array links.
+# ----------------------------------------------------------------------
+# The shard policies: plan constructors over the surviving arrays
+# ----------------------------------------------------------------------
+def _plan_sample(network, config, rows, state_shape, alive) -> ShardPlan:
+    """One batch-split stage over the arrays that get a non-empty
+    :func:`numpy.array_split` chunk of the batch, one chunk each (a
+    batch narrower than the survivors leaves the rest idle)."""
+    sizes = tuple(size for size in _split_sizes(rows, len(alive)) if size)
+    return ShardPlan(
+        bounds=(0, len(network.parametric_layers())),
+        arrays=(alive[:len(sizes)],), splits=("batch",), sizes=sizes,
+    )
 
-    Walks the built layer stack tracking the activation shape from
-    ``state_shape`` (C, H, W).  Entry ``p`` is the input of parametric
-    layer ``p`` — what moves when a stage boundary sits just before
-    it — and the last entry is the network's output row (a Q row).
+
+def _plan_layer(network, config, rows, state_shape, alive) -> ShardPlan:
+    """One output-split stage over every survivor, one micro-batch."""
+    return ShardPlan(
+        bounds=(0, len(network.parametric_layers())),
+        arrays=(alive,), splits=("output",), sizes=(rows,),
+    )
+
+
+def _plan_pipeline(network, config, rows, state_shape, alive) -> ShardPlan:
+    """Batch-split stages from :func:`_pipeline_stage_search`.
+
+    Micro-batches hold ``rows // (8 * arrays)`` rows (at least one) —
+    about 8 chunks per array, enough overlap to amortise fill/drain
+    without drowning in per-chunk filter reloads.  Stage bounds and
+    widths come from the closed-form per-layer cycle oracle at that
+    micro-batch size, scored against the actual chunked schedule, and
+    the survivors fill the stages in order.
     """
-    c, h, w = (int(v) for v in state_shape)
-    elements: list[int] = []
-    current = c * h * w
-    for layer in network.layers:
-        if isinstance(layer, Conv2D):
-            elements.append(c * h * w)
-            c, h, w = layer.output_shape(h, w)
-            current = c * h * w
-        elif isinstance(layer, MaxPool2D):
-            h, w = layer.output_shape(h, w)
-            current = c * h * w
-        elif isinstance(layer, Dense):
-            elements.append(layer.in_features)
-            current = layer.out_features
-        # ReLU / norm / flatten: no shape change that matters here
-        # (flatten keeps c*h*w, which is what Dense.in_features reads).
-    elements.append(current)
-    return elements
+    chunk_rows = max(1, rows // (8 * len(alive)))
+    num_chunks = max(1, -(-rows // chunk_rows))
+    step = network_training_step_cost(
+        network, state_shape, chunk_rows, config=config,
+        first_trainable=len(network.layers),  # forward only
+    )
+    bounds, widths = _pipeline_stage_search(
+        [cost.forward_cycles for cost in step.layers], len(alive), num_chunks,
+    )
+    cuts = np.cumsum((0,) + widths)
+    return ShardPlan(
+        bounds=bounds,
+        arrays=tuple(alive[lo:hi] for lo, hi in zip(cuts, cuts[1:])),
+        splits=("batch",) * len(widths),
+        # Zero-row chunks never enter the schedule.
+        sizes=tuple(size for size in _split_sizes(rows, num_chunks) if size),
+    )
+
+
+#: The shard policies, each a :class:`ShardPlan` constructor
+#: ``(network, config, rows, state_shape, alive) -> ShardPlan``.
+SHARD_POLICIES = {
+    "sample": _plan_sample,
+    "layer": _plan_layer,
+    "pipeline": _plan_pipeline,
+}
 
 
 @dataclass(frozen=True)
 class _Priced:
-    """A fault-free schedule price and the spans that narrate it.
+    """A plan's fault-free price and what chaos needs to stretch it.
 
     ``spans`` holds one ``(cycles, span args)`` pair per piece of the
-    schedule — a sample chunk, a pipeline (stage, micro-batch) or a
-    layer slice — in the order the executing schedule would have
-    emitted them.
+    schedule — a batch-split (stage, micro-batch) or an output slice
+    of one layer on one micro-batch — in the order an executed
+    schedule would emit them.  ``lanes`` are the schedule's serial
+    resources as ``(busy cycles, arrays)``: each array of a
+    batch-split stage, and each output-split stage as one gang.
+    ``barrier`` marks a plan of one batch-split stage.
     """
 
     cost: StepCost
     spans: tuple[tuple[int, dict], ...]
+    lanes: tuple[tuple[int, tuple[int, ...]], ...]
+    barrier: bool
 
+    def stretched(self, extra: list[int]) -> StepCost:
+        """The cost with ``extra[k]`` fault cycles added to array ``k``.
 
-class _Bill:
-    """Running totals of one priced schedule over K arrays."""
-
-    def __init__(self, backend: "ShardedBackend"):
-        self.backend = backend
-        self.shard_cycles = [0] * backend.shards
-        self.layer_cycles: dict[str, int] = {}
-        self.macs = 0
-        self.merge = 0
-        self.merge_hops = 0
-
-    def work(self, step) -> None:
-        """Charge one array-run of the network (a training-step record).
-
-        Layer names key as on the single-array backend: a duplicate
-        name within one run gets a ``'`` suffix rather than swallowing
-        another layer's cycles; runs sum key-wise.
+        One batch-split stage is a barrier: it waits on its slowest
+        stretched array.  In any other plan the stretches add to the
+        critical path.  Fill/drain stays the makespan less the busiest
+        stretched lane.
         """
-        self.macs += step.total_macs
-        seen: set[str] = set()
-        for layer in step.layers:
-            name = layer.name
-            while name in seen:
-                name += "'"
-            seen.add(name)
-            self.layer_cycles[name] = (
-                self.layer_cycles.get(name, 0) + layer.total_cycles
-            )
-
-    def ship(self, elements: int, src: int, dst: int) -> None:
-        """Charge one inter-array transfer on the backend's NoC."""
-        if src == dst:
-            return
-        noc = self.backend._noc
-        self.merge += noc.transfer_cycles(elements, src, dst)
-        self.merge_hops += noc.element_hops(elements, src, dst)
-
-    def cost(self, states: int, compute: int, fill_drain: int = 0) -> StepCost:
-        """The record, given the schedule's compute makespan (and the
-        part of it the schedule's bubbles account for)."""
-        backend = self.backend
-        return StepCost(
-            backend=backend.name, states=states, macs=self.macs,
-            layer_cycles=self.layer_cycles, shards=backend.shards,
-            shard_cycles=tuple(self.shard_cycles),
-            critical_path_cycles=compute + self.merge,
-            merge_cycles=self.merge,
-            merge_hops=self.merge_hops,
-            fill_drain_cycles=fill_drain,
-            noc=backend.noc,
+        cost = self.cost
+        shard_cycles = tuple(c + e for c, e in zip(cost.shard_cycles, extra))
+        if self.barrier:
+            compute = max(shard_cycles)
+        else:
+            compute = cost.critical_path_cycles - cost.merge_cycles + sum(extra)
+        busiest = max(
+            (busy + sum(extra[k] for k in arrays) for busy, arrays in self.lanes),
+            default=0,
+        )
+        return replace(
+            cost,
+            shard_cycles=shard_cycles,
+            critical_path_cycles=compute + cost.merge_cycles,
+            fill_drain_cycles=compute - busiest,
         )
 
 
@@ -352,9 +372,9 @@ class ShardedBackend(ExecutionBackend):
     shards:
         Number of arrays K (>= 1).
     shard:
-        ``"sample"`` (split the batch), ``"layer"`` (split conv
-        filters / FC output neurons) or ``"pipeline"`` (stage the
-        layers).
+        The plan constructor (:data:`SHARD_POLICIES`): ``"sample"``
+        (split the batch), ``"layer"`` (split conv filters / FC output
+        neurons) or ``"pipeline"`` (stage the layers).
     config / quantized / weight_format / activation_format:
         Passed through to the :class:`SystolicBackend` datapath — every
         array runs the same datapath the single-array backend models.
@@ -365,23 +385,18 @@ class ShardedBackend(ExecutionBackend):
         so every pinned sharding number reproduces unchanged;
         ``"ring"`` / ``"mesh"`` charge real hop counts over 128-bit
         links at the quantised word width.
-    pipeline_chunk:
-        Micro-batch rows per pipeline stage hand-off (pipeline policy
-        only).  ``None`` picks ``max(1, batch // (8 * K))`` — about 8
-        chunks per array, enough overlap to amortise fill/drain
-        without drowning in per-chunk filter reloads.
 
     Spans
     -----
     With the probe active, every forward emits one ``shard.forward``
-    span per piece of the schedule — per non-empty sample chunk
-    (``shard``, ``states``), per pipeline (stage, micro-batch)
-    (``shard``, ``stage``, ``states``) or per layer slice (``shard``,
-    ``layer``) — carrying that piece's priced ``cycles``.  The host
-    runs a single datapath forward for the whole batch; its measured
-    wall time rides on the first span and the rest are zero-length, so
-    :meth:`~repro.obs.trace.Tracer.summary` sums to the host time
-    actually spent.
+    span per piece of the schedule, carrying that piece's priced
+    ``cycles`` and the args ``shard``, ``stage`` and ``states``: one
+    per (stage, micro-batch) of a batch-split stage, and one per layer
+    slice of an output-split stage (plus the ``layer`` name).  The
+    host runs a single datapath forward for the whole batch; its
+    measured wall time rides on the first span and the rest are
+    zero-length, so :meth:`~repro.obs.trace.Tracer.summary` sums to the
+    host time actually spent.
     """
 
     def __init__(
@@ -394,30 +409,27 @@ class ShardedBackend(ExecutionBackend):
         weight_format: QFormat = Q2_13,
         activation_format: QFormat = Q8_8,
         noc: str = "flat",
-        pipeline_chunk: int | None = None,
     ):
         if shards <= 0:
             raise ValueError("shards must be positive")
         if shard not in SHARD_POLICIES:
             raise ValueError(
-                f"unknown shard policy {shard!r}; expected one of {SHARD_POLICIES}"
+                f"unknown shard policy {shard!r}; expected one of "
+                f"{tuple(SHARD_POLICIES)}"
             )
-        if pipeline_chunk is not None and pipeline_chunk <= 0:
-            raise ValueError("pipeline_chunk must be positive")
         self.network = network
         self.shards = shards
         self.shard = shard
         self.noc = noc
-        self.pipeline_chunk = pipeline_chunk
         # Validates the topology name; node ids are *original* array
         # indices, so transfers stay well-defined after failover.
         self._noc = NocModel(
             topology=noc, nodes=shards,
             word_bits=activation_format.total_bits,
         )
-        # One serving buffer for every policy: the arrays' full copies
-        # (sample, pipeline) are byte-identical, and their slices
-        # (layer) are, code for code, slices of the full quantised
+        # One serving buffer for every plan: the arrays' full copies
+        # (batch split) are byte-identical, and their slices (output
+        # split) are, code for code, slices of the full quantised
         # weights, so one simulated datapath stands in for every array
         # — the simulation quantises once per sync, not K times, and a
         # crash failover never changes the buffer layout.
@@ -432,6 +444,8 @@ class ShardedBackend(ExecutionBackend):
         #: Geometry signature of the network (its layer stack never
         #: changes under a backend), part of every price's memo key.
         self._geometry = _network_cost_signature(network, 0)
+        #: Plans built so far, by (rows, state shape, survivors).
+        self._plans: dict[tuple, ShardPlan] = {}
 
     def sync(self) -> None:
         """Broadcast the live float weights to every array's datapath.
@@ -490,8 +504,7 @@ class ShardedBackend(ExecutionBackend):
         the array stopped answering after ``health_check_timeout_cycles``
         (charged as recovery overhead).  Recovery remaps the dead
         array's work onto the survivors: every plan is a function of
-        the surviving arrays, so the next price re-splits the batch,
-        re-slices the layers or re-stages the pipeline over them, and
+        the surviving arrays, so the next price re-plans over them, and
         the serving buffer is left as it is.  With no survivors the
         backend degrades to the float numpy fallback.
         """
@@ -574,6 +587,7 @@ class ShardedBackend(ExecutionBackend):
             extra += slow
         return extra
 
+
     # ------------------------------------------------------------------
     def train_cost(
         self,
@@ -581,22 +595,17 @@ class ShardedBackend(ExecutionBackend):
         state_shape: tuple[int, ...],
         first_trainable: int = 0,
     ) -> StepCost:
-        """One training step across the K arrays, per shard policy.
+        """One training step across the K arrays, priced on the plan.
 
-        * ``sample`` — data parallel: the batch splits into K chunks,
-          every array runs forward + backward GEMMs against a full
-          weight copy, and the per-array weight gradients all-reduce to
-          the root array over the NoC.
-        * ``layer`` — model parallel: each array trains only its weight
-          slice, so dW stays local (no full-gradient all-reduce);
-          the backward pays a partial-dX reduction per layer instead.
-        * ``pipeline`` — pipelined: micro-batches stream forward and
-          backward through the stages; fill/drain bubbles are charged
-          explicitly and boundary activations (and their gradients)
-          cross the NoC.
-
-        Every policy is priced by the same function as its forward
-        (:meth:`_priced`), at training depth.
+        Forward and backward run where the plan puts them.  A
+        batch-split stage's replicas all-reduce their weight gradients
+        to the stage's first array (under ``sample``, every array's full
+        gradient goes to the root); an output-split array trains only
+        its own slice, so its dW stays local and the backward pays a
+        partial-dX reduction per layer instead; every stage boundary
+        with a trainable layer below it carries the dX gradient back.
+        The same function prices the forward (:meth:`_priced`), here at
+        training depth.
         """
         alive = (
             [k for k in range(self.shards) if k not in FAULTS.injector.dead_shards]
@@ -617,8 +626,17 @@ class ShardedBackend(ExecutionBackend):
         return replace(cost, layer_cycles=dict(cost.layer_cycles))
 
     # ------------------------------------------------------------------
-    # One forward, a priced schedule
+    # One forward, a priced plan
     # ------------------------------------------------------------------
+    def plan(
+        self, rows: int, state_shape: tuple[int, ...], alive: tuple[int, ...]
+    ) -> ShardPlan:
+        """The shard policy's plan of a ``rows``-row batch over the
+        surviving arrays ``alive``."""
+        return SHARD_POLICIES[self.shard](
+            self.network, self.config, rows, state_shape, alive
+        )
+
     def _priced(
         self,
         rows: int,
@@ -626,293 +644,226 @@ class ShardedBackend(ExecutionBackend):
         alive: tuple[int, ...],
         first_trainable: int | None,
     ) -> _Priced:
-        """The fault-free price of a ``rows``-row schedule.
+        """The fault-free price of a ``rows``-row batch's plan.
 
-        The plan — chunk sizes over the survivors, plus the stage layout
-        under ``pipeline`` or the per-layer output slices under
-        ``layer`` — is fixed first; the policy's price is then a pure
-        function of ``(plan, chunk sizes, state shape, survivors)`` and
-        the backend's geometry, array config and NoC.
-        ``first_trainable=None`` prices inference (forward GEMMs plus
-        the Q-row gather); an index prices a training step from that
-        layer on (forward + backward plus the gradient traffic).
+        The plan is built once per ``(rows, state shape, survivors)``;
+        a crash changes the survivors, so failover re-plans without
+        clearing anything.  ``first_trainable=None`` prices inference
+        (forward GEMMs plus the Q-row gather); an index prices a
+        training step from that layer on (forward + backward plus the
+        gradient traffic).
 
         Prices are memoised in the cost-oracle memo (table
         ``sharded_price``) beside the per-layer oracles they are built
-        on, keyed on the inputs the plan is made from, so the plan is
-        only built on a miss: a steady-state forward pays one counted
-        lookup.  A crash changes ``alive`` and with it the key, so
-        failover re-plans without clearing anything.
+        on, keyed on everything the price reads: the network geometry,
+        array config and NoC, the plan, the state shape and
+        ``first_trainable``.  A steady-state forward pays one counted
+        lookup.
         """
         state_shape = tuple(int(v) for v in state_shape)
-        args = (rows, state_shape, alive, first_trainable)
+        where = (rows, state_shape, alive)
+        plan = self._plans.get(where)
+        if plan is None:
+            plan = self._plans[where] = self.plan(*where)
+        args = (plan, state_shape, first_trainable)
         if not _memo.memo_enabled():
             return self._price(*args)
-        key = (
-            self._geometry, self.config, self._noc, self.shard,
-            self.pipeline_chunk,
-        ) + args
+        key = (self._geometry, self.config, self._noc) + args
         table = _memo.cache("sharded_price")
         priced = table.get(key)
         if priced is _memo._MISS:
             priced = table.put(key, self._price(*args))
         return priced
 
-    def _price(self, rows, state_shape, alive, first_trainable) -> _Priced:
-        """Plan the schedule, then price it with the policy's function."""
-        if self.shard == "sample":
-            sizes = tuple(_split_sizes(rows, len(alive)))
-            return self._price_sample(sizes, state_shape, alive, first_trainable)
-        if self.shard == "layer":
-            return self._price_layer(rows, state_shape, alive, first_trainable)
-        plan, sizes = self._pipeline_plan(alive, state_shape, rows)
-        return self._price_pipeline(
-            plan, sizes, state_shape, alive, first_trainable
-        )
-
-    def _step(self, state_shape, rows: int, first_trainable: int | None):
-        """Closed-form cost of one array running the network on ``rows``."""
-        if first_trainable is None:
-            first_trainable = len(self.network.layers)  # forward only
-        return network_training_step_cost(
-            self.network, state_shape, rows,
-            config=self.config, first_trainable=first_trainable,
-        )
-
-    def _price_sample(
-        self, sizes, state_shape, alive, first_trainable
+    def _price(
+        self,
+        plan: ShardPlan,
+        state_shape: tuple[int, ...],
+        first_trainable: int | None,
     ) -> _Priced:
-        """Data parallel: each alive array runs the whole network over
-        its :func:`numpy.array_split` chunk, ``sizes`` aligned with
-        ``alive`` (a batch narrower than K leaves arrays idle; after a
-        crash the same rows re-split over the survivors).  Inference
-        gathers every non-root chunk's Q rows to the root array;
-        training all-reduces each non-root array's full weight gradient
-        to it."""
-        bill = _Bill(self)
-        q_row = _row_elements(self.network, state_shape)[-1]
-        grad = (
-            None if first_trainable is None
-            else sum(p.size for p in self.network.parameters(first_trainable))
-        )
-        spans = []
-        for k, size in zip(alive, sizes):
-            if size == 0:
-                continue
-            step = self._step(state_shape, size, first_trainable)
-            bill.work(step)
-            bill.shard_cycles[k] = step.total_cycles
-            bill.ship(size * q_row if grad is None else grad, k, alive[0])
-            spans.append((step.total_cycles, {"shard": k, "states": size}))
-        return _Priced(bill.cost(sum(sizes), max(bill.shard_cycles)), tuple(spans))
+        """Price ``plan`` in closed form; a pure function of the plan,
+        the state shape and the backend's geometry, config and NoC.
 
-    def _price_pipeline(
-        self, plan, sizes, state_shape, alive, first_trainable
-    ) -> _Priced:
-        """Pipelined: micro-batches of ``sizes`` rows stream through the
-        stages of ``plan``.
+        Every piece — a whole layer on one array (batch split) or one
+        output slice of it (output split), on one micro-batch — costs
+        what the closed-form per-layer oracle charges at the piece's
+        width and rows.  A stage's time on a micro-batch is the sum
+        over its layers of the slowest piece of each (layers run in
+        sequence; slices in parallel), and :func:`_pipeline_schedule`
+        streams the micro-batches through the stages, an output-split
+        stage acting as one gang.  What crosses the NoC, per
+        micro-batch:
 
-        Each stage's per-chunk time is its layers' cycles from the
-        closed-form oracle; :func:`_pipeline_schedule` yields the
-        makespan, per-array busy cycles and which array served each
-        chunk, hence the fill/drain bubbles.  Every chunk's boundary
-        activation crosses the NoC between the arrays that served it.
-        Inference then gathers the last stage's Q rows to its first
-        array; training instead sends the dX gradient back over every
-        boundary with a trainable layer below it, and replicated stages
-        all-reduce their weight gradients to their first array.
+        * each parametric layer's input moves from the previous layer's
+          hub to every array computing it (free on the same array);
+          between two batch-split layers it rides one transfer with
+          the dX that comes back in training;
+        * each output slice gathers to the layer's hub;
+        * in training, where the layer below trains, the input gradient
+          returns: every array of the layer ships its partial dX to
+          the hub, which sends the sum to every array of the layer
+          below;
+        * inference gathers every micro-batch's Q rows to the last
+          layer's hub on the first micro-batch; training instead
+          all-reduces each batch-split stage's weight gradients to its
+          first array (an output slice's dW never leaves its array).
         """
-        bill = _Bill(self)
-        steps = [self._step(state_shape, size, first_trainable) for size in sizes]
-        for step in steps:
-            bill.work(step)
-        bounds = plan.param_bounds
-        times = [
-            [sum(c.total_cycles for c in step.layers[lo:hi]) for step in steps]
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        compute, busy, assign = _pipeline_schedule(times, plan.widths)
-        served = [  # served[s][m]: the array running stage s on chunk m
-            [arrays[a] for a in stage_assign]
-            for arrays, stage_assign in zip(plan.stage_arrays, assign)
-        ]
-        for arrays, stage_busy in zip(plan.stage_arrays, busy):
-            for orig, cycles in zip(arrays, stage_busy):
-                bill.shard_cycles[orig] = cycles
-        row_elements = _row_elements(self.network, state_shape)
-        param_indices = [i for i, _layer in self.network.parametric_layers()]
-        for s in range(1, plan.stages):
-            # Backprop returns the dX gradient over this boundary iff a
-            # trainable parametric layer sits below it.
-            crossings = 1 + (
-                first_trainable is not None
-                and param_indices[bounds[s] - 1] >= first_trainable
-            )
-            for m, size in enumerate(sizes):
-                bill.ship(
-                    size * row_elements[bounds[s]] * crossings,
-                    served[s - 1][m], served[s][m],
-                )
-        if first_trainable is None:
-            q_hub = plan.stage_arrays[-1][0]
-            for m, size in enumerate(sizes):
-                bill.ship(size * row_elements[-1], served[-1][m], q_hub)
-        else:
-            for s, arrays in enumerate(plan.stage_arrays):
-                lo, hi = bounds[s], bounds[s + 1]
-                stage_grad = sum(c.weight_elements for c in steps[0].layers[lo:hi])
-                for orig in arrays[1:]:
-                    bill.ship(stage_grad, orig, arrays[0])
-        spans = tuple(
-            (times[s][m], {"shard": served[s][m], "stage": s, "states": size})
-            for s in range(plan.stages)
-            for m, size in enumerate(sizes)
+        walk, out_elements = _layer_walk(self.network, state_shape)
+        train_from = (
+            len(self.network.layers) if first_trainable is None
+            else first_trainable
         )
-        return _Priced(
-            bill.cost(sum(sizes), compute, compute - max(bill.shard_cycles)),
-            spans,
+        costs: dict[tuple[int, int, int], object] = {}
+
+        def cost(p: int, width: int, rows: int):
+            if (p, width, rows) not in costs:
+                index, layer, in_shape, _out = walk[p]
+                costs[p, width, rows] = _layer_cost(
+                    layer, in_shape, width, rows, self.config,
+                    index >= train_from,
+                )
+            return costs[p, width, rows]
+
+        stages = list(zip(plan.bounds, plan.bounds[1:]))
+        stage_of = [s for s, (lo, hi) in enumerate(stages) for _ in range(lo, hi)]
+        batch = [plan.splits[s] == "batch" for s in stage_of]
+        # Pieces of every parametric layer; ``None`` stands for the
+        # array a batch-split stage hands the micro-batch to.
+        parts = [
+            ((None, 0, out[0]),) if batch[p]
+            else plan.output_slices(stage_of[p], out[0])
+            for p, (_index, _layer, _in, out) in enumerate(walk)
+        ]
+        times = [
+            [
+                sum(
+                    max(cost(p, hi - lo, rows).total_cycles for _k, lo, hi in parts[p])
+                    for p in range(first, last)
+                )
+                for rows in plan.sizes
+            ]
+            for first, last in stages
+        ]
+        compute, busy, assign = _pipeline_schedule(
+            times,
+            [len(arrays) if split == "batch" else 1
+             for arrays, split in zip(plan.arrays, plan.splits)],
         )
 
-    def _fault_extras(self, shard_cycles) -> tuple[list[int], int]:
-        """Per-array cycles stretched by this forward's chaos draws.
+        def placed(p: int, m: int) -> list[tuple[int, int, int]]:
+            served = plan.arrays[stage_of[p]][assign[stage_of[p]][m]]
+            return [(served if k is None else k, lo, hi) for k, lo, hi in parts[p]]
+
+        shard_cycles = [0] * self.shards
+        layer_cycles: dict[str, int] = {}
+        macs = merge = merge_hops = 0
+        spans = []
+        seen: list[set[str]] = [set() for _ in plan.sizes]
+
+        def ship(elements: int, src: int, dst: int) -> None:
+            nonlocal merge, merge_hops
+            if src != dst:
+                merge += self._noc.transfer_cycles(elements, src, dst)
+                merge_hops += self._noc.element_hops(elements, src, dst)
+
+        for s, (first, last) in enumerate(stages):
+            for m, rows in enumerate(plan.sizes):
+                if batch[first]:
+                    args = {"shard": placed(first, m)[0][0], "stage": s, "states": rows}
+                    spans.append((times[s][m], args))
+                for p in range(first, last):
+                    index, layer, in_shape, out_shape = walk[p]
+                    here = placed(p, m)
+                    hub = here[0][0]
+                    if p:
+                        below = placed(p - 1, m)
+                        act = rows * int(np.prod(in_shape))
+                        back = walk[p - 1][0] >= train_from  # dX returns below
+                        if batch[p - 1] and batch[p]:
+                            # A whole-layer hand-off: the activation and
+                            # the dX coming back ride one transfer.  Ring
+                            # and mesh round each transfer up to whole
+                            # link beats, so two would charge more.
+                            ship(act * (1 + back), below[0][0], hub)
+                        else:
+                            for k, _lo, _hi in here:
+                                ship(act, below[0][0], k)
+                            if back:
+                                for k, _lo, _hi in here:
+                                    ship(act, k, hub)
+                                for k, _lo, _hi in below:
+                                    ship(act, hub, k)
+                    name = layer.name
+                    while name in seen[m]:  # never merge duplicate names
+                        name += "'"
+                    seen[m].add(name)
+                    for k, lo, hi in here:
+                        piece = cost(p, hi - lo, rows)
+                        if not batch[p]:
+                            args = {"shard": k, "stage": s, "states": rows,
+                                    "layer": layer.name}
+                            spans.append((piece.total_cycles, args))
+                        shard_cycles[k] += piece.total_cycles
+                        macs += piece.total_macs
+                        layer_cycles[name] = (
+                            layer_cycles.get(name, 0) + piece.total_cycles
+                        )
+                        ship(rows * (hi - lo) * out_shape[1] * out_shape[2], k, hub)
+                if last == len(walk) and first_trainable is None:
+                    # Every micro-batch's Q rows end on the first one's hub.
+                    ship(rows * out_elements, hub, placed(p, 0)[0][0])
+        lanes = []
+        for s, arrays in enumerate(plan.arrays):
+            if plan.splits[s] == "batch":
+                lanes += [(cycles, (k,)) for cycles, k in zip(busy[s], arrays)]
+            else:
+                lanes.append((busy[s][0], arrays))
+            if first_trainable is None or plan.splits[s] != "batch":
+                continue
+            # Replicas all-reduce their weight gradients to the first.
+            first, last = stages[s]
+            grad = sum(
+                param.size
+                for index, layer, _in, _out in walk[first:last]
+                if index >= train_from
+                for param in layer.parameters()
+            )
+            for k in arrays[1:]:
+                ship(grad, k, arrays[0])
+        return _Priced(
+            StepCost(
+                backend=self.name, states=sum(plan.sizes), macs=macs,
+                layer_cycles=layer_cycles, shards=self.shards,
+                shard_cycles=tuple(shard_cycles),
+                critical_path_cycles=compute + merge,
+                merge_cycles=merge, merge_hops=merge_hops,
+                fill_drain_cycles=compute - max(
+                    (cycles for cycles, _arrays in lanes), default=0
+                ),
+                noc=self.noc,
+            ),
+            tuple(spans), tuple(lanes), barrier=plan.splits == ("batch",),
+        )
+
+    def _fault_extras(self, shard_cycles) -> list[int]:
+        """Cycles this forward's chaos draws add to each array.
 
         Every busy array, in array order, pays its transient retries
-        and straggler slowdown (:meth:`_chaos_extra`).  Returns the new
-        per-array cycles and the total added.
+        and straggler slowdown (:meth:`_chaos_extra`).
         """
-        stretched = list(shard_cycles)
-        added = 0
-        for k, cycles in enumerate(shard_cycles):
-            if cycles:
-                extra = self._chaos_extra(k, cycles)
-                stretched[k] += extra
-                added += extra
-        return stretched, added
-
-    def _layer_plan(
-        self, alive: tuple[int, ...]
-    ) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        """Output slices of every parametric layer over the survivors.
-
-        Maps each parametric layer's index in the built stack to its
-        ``(array, lo, hi)`` slices — conv filters / FC output features
-        ``[lo:hi)`` computed on original array ``array`` — from a
-        :func:`numpy.linspace` split over the alive arrays, in order.
-        An array whose slice of a layer narrower than the survivors
-        would be empty is left out of that layer: it sits idle and
-        receives no broadcast.
-        """
-        plan = {}
-        for index, layer in self.network.parametric_layers():
-            width = (
-                layer.out_channels
-                if isinstance(layer, Conv2D)
-                else layer.out_features
-            )
-            bounds = np.linspace(0, width, len(alive) + 1).astype(int)
-            plan[index] = tuple(
-                (k, int(lo), int(hi))
-                for k, lo, hi in zip(alive, bounds, bounds[1:])
-                if hi > lo
-            )
-        return plan
-
-    def _price_layer(self, rows, state_shape, alive, first_trainable) -> _Priced:
-        """Tensor parallel: every alive array computes its output slice
-        (:meth:`_layer_plan`) of each parametric layer from the full
-        input activation.
-
-        Layers run in sequence (true data dependency); within a layer
-        the slices run in parallel, so each layer adds its slowest
-        slice to the critical path and the schedule has no fill/drain.
-        A slice costs what the closed-form per-layer oracle charges at
-        the slice's width.  What crosses the NoC:
-
-        * after each parametric layer, the slices gather to the layer's
-          hub — its first array — into the full activation, on which
-          elementwise / pooling layers run;
-        * before each parametric layer but the first (whose input comes
-          from the host), the activation it consumes — post-pooling, so
-          the tensor that actually moves — is broadcast from the
-          previous hub to every *other* array computing it, one full
-          activation per receiving link;
-        * in training, per trainable layer with a trainable parametric
-          layer below it, a partial-dX reduction: every array computing
-          the layer ships its partial input gradient (full input shape)
-          to the hub, which forwards the sum to the arrays of the
-          previous parametric layer.  dW is an outer product over the
-          slice's own rows, so weight gradients never leave the array
-          that applies them.
-        """
-        c, h, w = state_shape
-        plan = self._layer_plan(alive)
-        bill = _Bill(self)
-        spans = []
-        critical = 0
-        hub: int | None = None  # array holding the merged activation
-        below: list[int] | None = None  # arrays of a trainable layer below
-        for index, layer in enumerate(self.network.layers):
-            slices = plan.get(index)
-            if slices is None:
-                if isinstance(layer, MaxPool2D):
-                    h, w = layer.output_shape(h, w)
-                continue
-            trainable = first_trainable is not None and index >= first_trainable
-            arrays = [k for k, _lo, _hi in slices]
-            is_conv = isinstance(layer, Conv2D)
-            if is_conv:
-                out_shape = layer.output_shape(h, w)
-                act_in, per_unit = rows * c * h * w, out_shape[1] * out_shape[2]
-            else:
-                act_in, per_unit = rows * layer.in_features, 1
-            if hub is not None:
-                for k in arrays:
-                    bill.ship(act_in, hub, k)
-            cycles = []
-            for k, lo, hi in slices:
-                if is_conv:
-                    cost, _shape = _conv_layer_cost(
-                        layer.name, c, h, w, hi - lo, layer.kernel_size,
-                        layer.stride, layer.pad, rows, self.config, trainable,
-                    )
-                else:
-                    cost = _fc_layer_cost(
-                        layer.name, layer.in_features, hi - lo, rows,
-                        self.config, trainable,
-                    )
-                bill.shard_cycles[k] += cost.total_cycles
-                bill.macs += cost.total_macs
-                cycles.append(cost.total_cycles)
-                spans.append((cost.total_cycles, {"shard": k, "layer": layer.name}))
-            name = layer.name
-            while name in bill.layer_cycles:  # never merge duplicates
-                name += "'"
-            bill.layer_cycles[name] = sum(cycles)
-            critical += max(cycles)
-            hub = arrays[0]
-            for k, lo, hi in slices:
-                bill.ship(rows * (hi - lo) * per_unit, k, hub)
-            if trainable and below is not None:
-                for k in arrays:
-                    bill.ship(act_in, k, hub)
-                for k in below:
-                    bill.ship(act_in, hub, k)
-            below = arrays if trainable else None
-            if is_conv:
-                c, h, w = out_shape
-        return _Priced(bill.cost(rows, critical), tuple(spans))
+        return [
+            self._chaos_extra(k, cycles) if cycles else 0
+            for k, cycles in enumerate(shard_cycles)
+        ]
 
     def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, StepCost]:
-        """One datapath forward over the batch, the schedule priced.
+        """One datapath forward over the batch, the plan priced.
 
         The survivors are known before anything runs (a crash failover
         only changes the plan the price is made from), the Q values
-        come from the datapath in one pass, and the cost is the
-        cached price of the policy's schedule — stretched, under chaos,
-        by each busy array's retries and stragglers: a barrier (sample)
-        waits on the slowest stretched array; a pipeline's makespan,
-        and the per-layer barriers of the layer policy (charged
-        conservatively, with no bubbles), absorb every stretch.
+        come from the datapath in one pass, and the cost is the cached
+        price of the plan — stretched, under chaos, by each busy
+        array's retries and stragglers (:meth:`_Priced.stretched`).
         """
         x = np.asarray(states, dtype=np.float64)
         if x.ndim != 4:
@@ -932,69 +883,6 @@ class ShardedBackend(ExecutionBackend):
                     "shard.forward", wall if i == 0 else 0, cycles=cycles, **args
                 )
         cost = priced.cost
-        if not FAULTS.enabled:
-            return q_values, replace(cost, layer_cycles=dict(cost.layer_cycles))
-        shard_cycles, added = self._fault_extras(cost.shard_cycles)
-        if self.shard == "sample":
-            compute = max(shard_cycles)
-        else:
-            compute = cost.critical_path_cycles - cost.merge_cycles + added
-        return q_values, replace(
-            cost,
-            layer_cycles=dict(cost.layer_cycles),
-            shard_cycles=tuple(shard_cycles),
-            critical_path_cycles=compute + cost.merge_cycles,
-            fill_drain_cycles=(
-                compute - max(shard_cycles) if self.shard == "pipeline" else 0
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Pipeline policy
-    # ------------------------------------------------------------------
-    def _pipeline_plan(
-        self,
-        alive: tuple[int, ...],
-        state_shape: tuple[int, ...],
-        rows: int,
-    ) -> tuple[PipelinePlan, tuple[int, ...]]:
-        """The stage layout over the surviving arrays, and the
-        micro-batch row counts of a ``rows``-row batch.
-
-        Chunks hold ``pipeline_chunk`` rows, or by default
-        ``rows // (8 * arrays)`` (at least one).  Stage bounds and
-        widths come from the closed-form per-layer cycle oracle at the
-        micro-batch size, scored against the actual chunked schedule.
-        Nothing is cached here: the plan is built on a
-        :meth:`_priced` miss and memoised with its price.
-        """
-        chunk_rows = self.pipeline_chunk or max(1, rows // (8 * len(alive)))
-        num_chunks = max(1, -(-rows // chunk_rows))
-        # Zero-row chunks never enter the schedule.
-        sizes = tuple(size for size in _split_sizes(rows, num_chunks) if size)
-        step = network_training_step_cost(
-            self.network, state_shape, chunk_rows,
-            config=self.config,
-            first_trainable=len(self.network.layers),  # forward only
-        )
-        bounds, widths = _pipeline_stage_search(
-            [cost.forward_cycles for cost in step.layers],
-            len(alive), num_chunks,
-        )
-        param_indices = [i for i, _layer in self.network.parametric_layers()]
-        # Each stage starts at its first parametric layer (stage 0 also
-        # owns any leading non-parametric layers) and runs to the next
-        # stage's start; trailing layers ride with the last stage.
-        starts = [0] + [param_indices[b] for b in bounds[1:-1]]
-        ends = starts[1:] + [len(self.network.layers)]
-        stage_arrays = []
-        pos = 0
-        for width in widths:
-            stage_arrays.append(tuple(alive[pos:pos + width]))
-            pos += width
-        plan = PipelinePlan(
-            param_bounds=tuple(bounds),
-            layer_ranges=tuple(zip(starts, ends)),
-            stage_arrays=tuple(stage_arrays),
-        )
-        return plan, sizes
+        if FAULTS.enabled:
+            cost = priced.stretched(self._fault_extras(cost.shard_cycles))
+        return q_values, replace(cost, layer_cycles=dict(cost.layer_cycles))

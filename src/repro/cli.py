@@ -45,7 +45,7 @@ execution backend action selection routes through (:mod:`repro.backend`):
 datapath, ``systolic`` the accelerator-in-the-loop path whose
 rollouts carry per-step array-cycle budgets into the report and the
 platform projection, and ``sharded`` composes K systolic arrays
-(``--shards K``, ``--shard-policy {sample,layer}``) and additionally
+(``--shards K``, ``--shard-policy {sample,layer,pipeline}``) and additionally
 reports critical-path cycles, scaling efficiency and pipeline overlap.
 ``--sync-every N`` sets the weight-bus flip cadence — the deployed
 datapath refreshes its quantised snapshot every N training updates

@@ -12,7 +12,7 @@ scale (for analytic hardware costing) and reduced scale (for functional RL
 training inside tests and benchmarks).
 """
 
-from repro.nn.initializers import he_normal, glorot_uniform, imagenet_stub
+from repro.nn.initializers import he_normal
 from repro.nn.layers import (
     Layer,
     Parameter,
@@ -38,8 +38,6 @@ from repro.nn.quantize import QuantizedNetwork, quantize_network_report
 
 __all__ = [
     "he_normal",
-    "glorot_uniform",
-    "imagenet_stub",
     "Layer",
     "Parameter",
     "Conv2D",

@@ -1,20 +1,10 @@
-"""Weight initialisers.
-
-The paper initialises the meta-training run with ImageNet weights; lacking
-those (and any network access), :func:`imagenet_stub` provides a fixed,
-seeded He-style initialisation that plays the same role: a deterministic,
-reproducible "pretrained" starting point shared by every configuration so
-that L2/L3/L4/E2E comparisons start from identical weights.
-"""
+"""Weight initialisers."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "glorot_uniform", "imagenet_stub"]
-
-#: Seed offset giving the "ImageNet stub" its own reproducible stream.
-_IMAGENET_STUB_SEED = 0x1A5E
+__all__ = ["he_normal"]
 
 
 def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
@@ -23,26 +13,3 @@ def he_normal(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> 
         raise ValueError("fan_in must be positive")
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def glorot_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot (Xavier) uniform initialisation."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def imagenet_stub(shape: tuple[int, ...], fan_in: int, seed: int = 0) -> np.ndarray:
-    """Deterministic stand-in for ImageNet-pretrained weights.
-
-    The paper downloads ImageNet weights before meta-training; we cannot,
-    so this returns He-normal weights drawn from a stream that depends only
-    on ``shape`` and ``seed`` — every caller asking for the "pretrained"
-    weights of a given layer gets the same tensor.
-    """
-    mix = hash((shape, seed, _IMAGENET_STUB_SEED)) & 0x7FFFFFFF
-    rng = np.random.default_rng(mix)
-    return he_normal(shape, fan_in, rng)

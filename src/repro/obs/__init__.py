@@ -22,7 +22,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    get_registry,
 )
 from repro.obs.probes import PROBE, Probe, observed
 from repro.obs.trace import NULL_SPAN, Span, Tracer
@@ -33,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
     "PROBE",
     "Probe",
     "observed",

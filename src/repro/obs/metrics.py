@@ -38,7 +38,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
-    "get_registry",
 ]
 
 #: Default histogram bucket upper bounds (seconds-flavoured latencies).
@@ -328,8 +327,3 @@ class MetricsRegistry:
 
 #: The process-global registry the probe seam writes to by default.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-global :data:`REGISTRY`."""
-    return REGISTRY

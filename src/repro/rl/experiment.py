@@ -161,7 +161,7 @@ def meta_train(
     """TL phase: end-to-end RL in the meta-environment.
 
     The paper trains 60 k Unreal iterations from ImageNet weights; we run
-    a scaled count on the scaled network (seeded "imagenet stub" init).
+    a scaled count on the scaled network (seeded He-normal init).
     ``num_envs > 1`` collects the experience from a fleet of
     meta-environment replicas instead of a single env.
     """

@@ -388,34 +388,71 @@ def _network_training_step_cost(
     config: ArrayConfig,
     first_trainable: int,
 ) -> TrainingStepCost:
-    from repro.nn.layers import Conv2D, Dense, MaxPool2D
-
     if batch <= 0:
         raise ValueError("batch must be positive")
     if len(state_shape) != 3:
         raise ValueError(f"state_shape must be (C, H, W), got {state_shape!r}")
+    walk, _out = _layer_walk(network, state_shape)
+    layers = [
+        _layer_cost(
+            layer, in_shape, out_shape[0], batch, config,
+            index >= first_trainable,
+        )
+        for index, layer, in_shape, out_shape in walk
+    ]
+    return TrainingStepCost(
+        network=network.name, batch=batch, layers=tuple(layers),
+    )
+
+
+def _layer_walk(network, state_shape: tuple[int, ...]) -> tuple[list, int]:
+    """The activation shapes a built ``Network`` moves, in one walk.
+
+    Tracks the activation from ``state_shape`` (C, H, W) through
+    ``network.layers`` and returns ``(walk, out_elements)``: ``walk``
+    holds ``(index, layer, in_shape, out_shape)`` for every conv / FC
+    layer, both as (C, H, W) (an FC row is ``(features, 1, 1)``), and
+    ``out_elements`` is the element count of the network's output row.
+    ReLU / norm / dropout / flatten change no shape that matters here
+    (flatten keeps C*H*W, which is what ``Dense.in_features`` reads).
+    """
+    from repro.nn.layers import Conv2D, Dense, MaxPool2D
+
     c, h, w = (int(v) for v in state_shape)
-    layers: list[LayerTrainingCost] = []
+    walk = []
     for index, layer in enumerate(network.layers):
-        trainable = index >= first_trainable
         if isinstance(layer, Conv2D):
-            cost, (h, w) = _conv_layer_cost(
-                layer.name, c, h, w, layer.out_channels, layer.kernel_size,
-                layer.stride, layer.pad, batch, config, trainable,
-            )
-            c = layer.out_channels
-            layers.append(cost)
+            out_shape = layer.output_shape(h, w)
+            walk.append((index, layer, (c, h, w), out_shape))
+            c, h, w = out_shape
         elif isinstance(layer, MaxPool2D):
             h, w = layer.output_shape(h, w)
         elif isinstance(layer, Dense):
-            layers.append(
-                _fc_layer_cost(
-                    layer.name, layer.in_features, layer.out_features,
-                    batch, config, trainable,
-                )
-            )
-        # ReLU / norm / dropout / flatten: comparator or vector units,
-        # shape bookkeeping only — no MAC cycles.
-    return TrainingStepCost(
-        network=network.name, batch=batch, layers=tuple(layers),
+            out_shape = (layer.out_features, 1, 1)
+            walk.append((index, layer, (layer.in_features, 1, 1), out_shape))
+            c, h, w = out_shape
+    return walk, c * h * w
+
+
+def _layer_cost(
+    layer,
+    in_shape: tuple[int, int, int],
+    out_width: int,
+    batch: int,
+    config: ArrayConfig,
+    trainable: bool,
+) -> LayerTrainingCost:
+    """Training cost of ``out_width`` of a conv / FC layer's outputs
+    (filters / neurons) from its full ``in_shape`` input."""
+    from repro.nn.layers import Conv2D
+
+    if isinstance(layer, Conv2D):
+        c, h, w = in_shape
+        cost, _extents = _conv_layer_cost(
+            layer.name, c, h, w, out_width, layer.kernel_size,
+            layer.stride, layer.pad, batch, config, trainable,
+        )
+        return cost
+    return _fc_layer_cost(
+        layer.name, layer.in_features, out_width, batch, config, trainable,
     )

@@ -449,7 +449,12 @@ def conv_backward_gemm(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TrainingStepResult:
-    """A *simulated* training step: cost plus the gradients it computed."""
+    """A *simulated* training step: cost plus the gradients it computed.
+
+    ``upstream_grads[name]`` is the gradient each trainable layer
+    received at its pre-activation output (after the ReLU mask and any
+    max-pool routing) — the operand its dW and dX were computed from.
+    """
 
     cost: TrainingStepCost
     input_batch: np.ndarray
@@ -458,6 +463,7 @@ class TrainingStepResult:
     weight_grads: dict[str, np.ndarray]
     bias_grads: dict[str, np.ndarray]
     input_grad: np.ndarray | None
+    upstream_grads: dict[str, np.ndarray]
 
 
 def simulate_network_training_step(
@@ -575,6 +581,7 @@ def simulate_network_training_step(
     layers: list[LayerTrainingCost] = []
     weight_grads: dict[str, np.ndarray] = {}
     bias_grads: dict[str, np.ndarray] = {}
+    upstream_grads: dict[str, np.ndarray] = {}
     input_grad: np.ndarray | None = None
     for index in range(len(spec.layers) - 1, -1, -1):
         cache = caches[index]
@@ -585,6 +592,7 @@ def simulate_network_training_step(
                 grad = grad * cache["mask"]
             dw_cycles = dx_cycles = dw_macs = dx_macs = weight_elements = 0
             if trainable:
+                upstream_grads[layer_spec.name] = grad
                 x_in, w = cache["x"], cache["w"]
                 # dW = x^T @ grad: activation columns stream through the
                 # resident gradient tiles (a Fig. 7 pass, batch = in_f).
@@ -634,6 +642,7 @@ def simulate_network_training_step(
             dw_cycles = dx_cycles = dw_macs = dx_macs = 0
             weight_elements = expansion = 0
             if trainable:
+                upstream_grads[layer_spec.name] = grad
                 x_in, w = cache["x"], cache["w"]
                 k, s, p = layer_spec.kernel, layer_spec.stride, layer_spec.pad
                 oc = layer_spec.out_channels
@@ -712,6 +721,7 @@ def simulate_network_training_step(
         weight_grads=weight_grads,
         bias_grads=bias_grads,
         input_grad=input_grad,
+        upstream_grads=upstream_grads,
     )
 
 

@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.backend import (
     BACKENDS,
     ShardedBackend,
+    ShardPlan,
     StepCost,
     SystolicBackend,
     WeightBus,
@@ -100,8 +101,6 @@ class TestRegistryAndValidation:
             ShardedBackend(make_net(), shards=2, shard="column")
         with pytest.raises(ValueError, match="topology"):
             ShardedBackend(make_net(), shards=2, noc="torus")
-        with pytest.raises(ValueError, match="pipeline_chunk"):
-            ShardedBackend(make_net(), shards=2, shard="pipeline", pipeline_chunk=0)
 
     def test_pipeline_policy_accepted(self):
         backend = ShardedBackend(make_net(), shards=2, shard="pipeline")
@@ -503,27 +502,26 @@ class TestPipelineSchedule:
                 max(cost.shard_cycles) + cost.fill_drain_cycles + cost.merge_cycles
             )
 
-    def test_explicit_chunk_hand_count(self, rng):
-        """pipeline_chunk=4 on a 16-row batch: 4 equal chunks, so each
-        stage's per-chunk time is busy/4 and the measured fill/drain
-        must reproduce from the schedule recurrence by hand."""
+    def test_explicit_chunk_hand_count(self):
+        """The pipeline's stages priced over 4 equal micro-batches of a
+        16-row batch: each stage's per-chunk time is busy/4 and the
+        priced fill/drain must reproduce from the schedule recurrence
+        by hand."""
+        from dataclasses import replace
+
         from repro.backend.sharded import _pipeline_schedule
 
-        net = make_net()
-        states = rng.uniform(0, 1, size=(16, 1, SIDE, SIDE))
-        backend = ShardedBackend(
-            net, shards=2, shard="pipeline", pipeline_chunk=4
+        backend = ShardedBackend(make_net(), shards=2, shard="pipeline")
+        plan = replace(
+            backend.plan(16, (1, SIDE, SIDE), (0, 1)), sizes=(4, 4, 4, 4)
         )
-        _, cost = backend.forward_batch(states)
-        plan, sizes = backend._pipeline_plan((0, 1), states.shape[1:], 16)
-        assert sizes == (4, 4, 4, 4)
-        assert plan.widths == (1, 1)
+        assert plan.arrays == ((0,), (1,))
+        cost = backend._price(plan, (1, SIDE, SIDE), None).cost
         times = [
-            [cost.shard_cycles[arrays[0]] // 4] * 4
-            for arrays in plan.stage_arrays
+            [cost.shard_cycles[arrays[0]] // 4] * 4 for arrays in plan.arrays
         ]
         critical, _busy, _assign = _pipeline_schedule(times, [1, 1])
-        assert cost.fill_drain_cycles == critical - max(cost.shard_cycles)
+        assert cost.fill_drain_cycles == critical - max(cost.shard_cycles) > 0
 
     def test_pipeline_beats_layer_sharding_at_k8(self, rng):
         """The tentpole claim: where layer sharding collapses (0.59
@@ -540,16 +538,30 @@ class TestPipelineSchedule:
     def test_stage_plan_partitions_model_not_batch(self, rng):
         net = make_net()
         backend = ShardedBackend(net, shards=4, shard="pipeline")
-        plan, _sizes = backend._pipeline_plan((0, 1, 2, 3), (1, SIDE, SIDE), 8)
-        assert plan.stages >= 2  # never degenerates to data parallelism
-        assert sum(plan.widths) == 4
-        flat_arrays = [a for arrays in plan.stage_arrays for a in arrays]
+        plan = backend.plan(8, (1, SIDE, SIDE), (0, 1, 2, 3))
+        assert len(plan.arrays) >= 2  # never degenerates to data parallelism
+        assert set(plan.splits) == {"batch"}
+        flat_arrays = [a for arrays in plan.arrays for a in arrays]
         assert sorted(flat_arrays) == [0, 1, 2, 3]  # disjoint coverage
-        # Stage ranges tile the layer stack contiguously.
-        assert plan.layer_ranges[0][0] == 0
-        assert plan.layer_ranges[-1][1] == len(net.layers)
-        for (lo, hi), (nlo, _nhi) in zip(plan.layer_ranges, plan.layer_ranges[1:]):
-            assert hi == nlo > lo
+        # Stage bounds tile the parametric layers contiguously.
+        assert plan.bounds[0] == 0
+        assert plan.bounds[-1] == len(net.parametric_layers())
+        assert all(lo < hi for lo, hi in zip(plan.bounds, plan.bounds[1:]))
+        assert len(plan.bounds) == len(plan.arrays) + 1
+        assert sum(plan.sizes) == 8
+
+
+def _output_slices(plan):
+    """``{layer index: (array, lo, hi) slices}`` of a one-stage
+    output-split plan over ``NET``'s parametric layers."""
+    assert plan.splits == ("output",)
+    return {
+        index: plan.output_slices(
+            0, layer.out_channels if isinstance(layer, Conv2D)
+            else layer.out_features,
+        )
+        for index, layer in NET.parametric_layers()
+    }
 
 
 class TestShardEdgeCases:
@@ -590,7 +602,7 @@ class TestShardEdgeCases:
         backend = ShardedBackend(net, shards=8, shard="layer")
         _, cost = backend.forward_batch(states)
 
-        plan = backend._layer_plan(tuple(range(8)))
+        plan = _output_slices(backend.plan(3, (1, SIDE, SIDE), tuple(range(8))))
         x = np.asarray(states, dtype=np.float64)
         expected = 0
         hub = None
@@ -621,7 +633,7 @@ class TestShardEdgeCases:
         net = make_net()
         backend = ShardedBackend(net, shards=8, shard="layer")
         for alive in (tuple(range(8)), (0, 2, 3, 5, 6, 7)):
-            plan = backend._layer_plan(alive)
+            plan = _output_slices(backend.plan(3, (1, SIDE, SIDE), alive))
             assert sorted(plan) == [i for i, _layer in net.parametric_layers()]
             narrow = [s for s in plan.values() if len(s) < len(alive)]
             assert narrow  # FC5 is narrower than the survivors
@@ -638,6 +650,72 @@ class TestShardEdgeCases:
                 # Contiguous slices covering [0, width).
                 assert slices[0][1] == 0 and slices[-1][2] == width
                 assert all(a[2] == b[1] for a, b in zip(slices, slices[1:]))
+
+
+#: Pinned sharded bills: (call, policy, K, NoC, batch, killed arrays,
+#: (critical, merge, merge hops, fill/drain, summed per-array cycles,
+#: MACs), per-layer work cycles).  ``train-frozen`` trains only the last
+#: parametric layer; ``forward`` runs ``forward_batch``.
+PINNED_BILLS = [
+    ("train", "sample", 4, "flat", 16, (),
+     (519608, 42207, 42207, 0, 1909604, 1709568),
+     (684036, 538544, 85680, 336416, 170016, 84624, 10288)),
+    ("train-frozen", "sample", 8, "ring", 33, (),
+     (187375, 336, 2640, 0, 1235947, 1185888),
+     (428000, 349440, 55824, 216960, 109792, 54768, 21163)),
+    ("train", "sample", 3, "mesh", 7, (),
+     (366218, 5277, 42207, 0, 852207, 747936),
+     (299347, 235607, 39525, 155342, 78542, 39063, 4781)),
+    ("train", "pipeline", 4, "flat", 16, (),
+     (700200, 20480, 20480, 20446, 2085200, 1709568),
+     (684816, 553232, 105264, 414752, 209952, 104208, 12976)),
+    ("train", "pipeline", 8, "ring", 33, (),
+     (674479, 19010, 152050, 42801, 4300725, 3525984),
+     (1412433, 1141041, 217107, 855426, 433026, 214929, 26763)),
+    ("train-frozen", "pipeline", 3, "mesh", 33, (),
+     (448587, 600, 4800, 12651, 1262547, 1185888),
+     (429000, 359040, 57024, 221760, 112992, 55968, 26763)),
+    ("train-frozen", "pipeline", 8, "ring", 33, (),
+     (192306, 1011, 8058, 14482, 1262547, 1185888),
+     (429000, 359040, 57024, 221760, 112992, 55968, 26763)),
+    ("train", "pipeline", 6, "mesh", 7, (),
+     (272652, 3223, 25781, 83957, 912275, 747936),
+     (299607, 242039, 46053, 181454, 91854, 45591, 5677)),
+    ("forward", "sample", 4, "flat", 16, (),
+     (148152, 60, 60, 0, 592368, 569856),
+     (207520, 169472, 27072, 105216, 53248, 26560, 3280)),
+    ("forward", "sample", 8, "ring", 5, (),
+     (37687, 10, 50, 0, 188385, 178080),
+     (65000, 54400, 8640, 33600, 17120, 8480, 1145)),
+    ("forward", "sample", 4, "mesh", 7, (1,),
+     (111293, 6, 30, 0, 260251, 249312),
+     (90840, 74624, 11904, 46272, 23456, 11680, 1475)),
+    ("forward", "layer", 4, "flat", 16, (),
+     (176842, 26560, 26560, 0, 599544, 569856),
+     (207400, 168320, 27200, 107904, 55040, 28864, 4816)),
+    ("forward", "layer", 8, "ring", 33, (),
+     (187600, 28462, 227370, 0, 1266573, 1175328),
+     (427720, 346752, 58208, 235200, 121952, 65856, 10885)),
+    ("forward", "layer", 4, "mesh", 7, (2,),
+     (96259, 1722, 13727, 0, 261067, 249312),
+     (90760, 73856, 11808, 46656, 23712, 12352, 1923)),
+    ("forward", "pipeline", 4, "flat", 16, (),
+     (200341, 1024, 1024, 5349, 602832, 569856),
+     (208000, 174080, 27648, 107520, 54784, 27136, 3664)),
+    ("forward", "pipeline", 8, "ring", 3, (),
+     (37761, 84, 663, 13000, 113031, 106848),
+     (39000, 32640, 5184, 20160, 10272, 5088, 687)),
+    ("forward", "pipeline", 6, "mesh", 33, (0,),
+     (290386, 112, 848, 27594, 1243341, 1175328),
+     (429000, 359040, 57024, 221760, 112992, 55968, 7557)),
+]
+
+
+def _pin_id(index: int, row) -> str:
+    call, policy, shards, noc, batch, killed = row[:6]
+    if call == "forward":
+        return f"forward-{policy}-{shards}-{noc}-{batch}-killed{len(killed)}"
+    return f"{policy}-{shards}-{noc}-{batch}-{call == 'train-frozen'}-expected{index}"
 
 
 class TestModelParallelTraining:
@@ -693,60 +771,8 @@ class TestModelParallelTraining:
         assert tc.critical_path_cycles < sum(tc.shard_cycles)
 
     @pytest.mark.parametrize(
-        "call,policy,shards,noc,batch,killed,expected,layers",
-        [
-            ("train", "sample", 4, "flat", 16, (),
-             (519608, 42207, 42207, 0, 1909604, 1709568),
-             (684036, 538544, 85680, 336416, 170016, 84624, 10288)),
-            ("train-frozen", "sample", 8, "ring", 33, (),
-             (187375, 336, 2640, 0, 1235947, 1185888),
-             (428000, 349440, 55824, 216960, 109792, 54768, 21163)),
-            ("train", "sample", 3, "mesh", 7, (),
-             (366218, 5277, 42207, 0, 852207, 747936),
-             (299347, 235607, 39525, 155342, 78542, 39063, 4781)),
-            ("train", "pipeline", 4, "flat", 16, (),
-             (700200, 20480, 20480, 20446, 2085200, 1709568),
-             (684816, 553232, 105264, 414752, 209952, 104208, 12976)),
-            ("train", "pipeline", 8, "ring", 33, (),
-             (674479, 19010, 152050, 42801, 4300725, 3525984),
-             (1412433, 1141041, 217107, 855426, 433026, 214929, 26763)),
-            ("train-frozen", "pipeline", 3, "mesh", 33, (),
-             (448587, 600, 4800, 12651, 1262547, 1185888),
-             (429000, 359040, 57024, 221760, 112992, 55968, 26763)),
-            ("train-frozen", "pipeline", 8, "ring", 33, (),
-             (192306, 1011, 8058, 14482, 1262547, 1185888),
-             (429000, 359040, 57024, 221760, 112992, 55968, 26763)),
-            ("train", "pipeline", 6, "mesh", 7, (),
-             (272652, 3223, 25781, 83957, 912275, 747936),
-             (299607, 242039, 46053, 181454, 91854, 45591, 5677)),
-            ("forward", "sample", 4, "flat", 16, (),
-             (148152, 60, 60, 0, 592368, 569856),
-             (207520, 169472, 27072, 105216, 53248, 26560, 3280)),
-            ("forward", "sample", 8, "ring", 5, (),
-             (37687, 10, 50, 0, 188385, 178080),
-             (65000, 54400, 8640, 33600, 17120, 8480, 1145)),
-            ("forward", "sample", 4, "mesh", 7, (1,),
-             (111293, 6, 30, 0, 260251, 249312),
-             (90840, 74624, 11904, 46272, 23456, 11680, 1475)),
-            ("forward", "layer", 4, "flat", 16, (),
-             (176842, 26560, 26560, 0, 599544, 569856),
-             (207400, 168320, 27200, 107904, 55040, 28864, 4816)),
-            ("forward", "layer", 8, "ring", 33, (),
-             (187600, 28462, 227370, 0, 1266573, 1175328),
-             (427720, 346752, 58208, 235200, 121952, 65856, 10885)),
-            ("forward", "layer", 4, "mesh", 7, (2,),
-             (96259, 1722, 13727, 0, 261067, 249312),
-             (90760, 73856, 11808, 46656, 23712, 12352, 1923)),
-            ("forward", "pipeline", 4, "flat", 16, (),
-             (200341, 1024, 1024, 5349, 602832, 569856),
-             (208000, 174080, 27648, 107520, 54784, 27136, 3664)),
-            ("forward", "pipeline", 8, "ring", 3, (),
-             (37761, 84, 663, 13000, 113031, 106848),
-             (39000, 32640, 5184, 20160, 10272, 5088, 687)),
-            ("forward", "pipeline", 6, "mesh", 33, (0,),
-             (290386, 112, 848, 27594, 1243341, 1175328),
-             (429000, 359040, 57024, 221760, 112992, 55968, 7557)),
-        ],
+        "call,policy,shards,noc,batch,killed,expected,layers", PINNED_BILLS,
+        ids=[_pin_id(i, row) for i, row in enumerate(PINNED_BILLS)],
     )
     def test_train_cost_pinned(
         self, call, policy, shards, noc, batch, killed, expected, layers
@@ -795,18 +821,73 @@ class TestModelParallelTraining:
         assert merged.noc == "ring"
 
 
+class _FixedPlanBackend(ShardedBackend):
+    """A sharded backend that serves one given plan, not a policy's."""
+
+    fixed: ShardPlan
+
+    def plan(self, rows, state_shape, alive):
+        return self.fixed
+
+
+def _draw_plan(data, alive, batch) -> ShardPlan:
+    """A random plan over the survivors ``alive``: contiguous stages,
+    each with a random split and a disjoint, shuffled set of arrays,
+    and random micro-batch sizes."""
+    count = len(NET.parametric_layers())
+    stages = data.draw(st.integers(1, min(len(alive), count)))
+
+    def cuts(n):  # stages - 1 sorted cut points in [1, n)
+        if stages == 1:
+            return []
+        return sorted(data.draw(st.sets(
+            st.integers(1, n - 1), min_size=stages - 1, max_size=stages - 1
+        )))
+
+    bounds = (0, *cuts(count), count)
+    order = data.draw(st.permutations(alive))
+    groups = (0, *cuts(len(alive)), len(alive))
+    chunks = data.draw(st.integers(1, batch))
+    rows = [0, batch]
+    if chunks > 1:
+        rows[1:1] = sorted(data.draw(st.sets(
+            st.integers(1, batch - 1), min_size=chunks - 1, max_size=chunks - 1
+        )))
+    return ShardPlan(
+        bounds=bounds,
+        arrays=tuple(tuple(order[lo:hi]) for lo, hi in zip(groups, groups[1:])),
+        splits=tuple(
+            data.draw(st.sampled_from(["batch", "output"])) for _ in range(stages)
+        ),
+        sizes=tuple(hi - lo for lo, hi in zip(rows, rows[1:])),
+    )
+
+
+#: An output-split conv stage on two arrays feeding a batch-split FC
+#: stage replicated on the other two, over three uneven micro-batches.
+MIXED_PLAN = ShardPlan(
+    bounds=(0, 2, len(NET.parametric_layers())),
+    arrays=((2, 0), (1, 3)),
+    splits=("output", "batch"),
+    sizes=(3, 4, 2),
+)
+
+
 class TestPlanThenPrice:
     """One datapath forward plus a closed-form price stands in for the
-    executed chunk / stage / slice schedule — exactly, fault draws
-    included."""
+    executed plan — exactly, fault draws included — for the three
+    policies' plans and for any other plan."""
 
     @staticmethod
-    def _run(policy, shards, noc, chunk, killed, stretch, work):
+    def _run(policy, shards, noc, killed, stretch, work):
         """``work(backend)`` on a fresh backend under a chaos plan that
-        kills ``killed`` at the first step; returns (result, event log)."""
-        backend = ShardedBackend(
-            NET, shards=shards, shard=policy, noc=noc, pipeline_chunk=chunk
-        )
+        kills ``killed`` at the first step; returns (result, event log).
+        ``policy`` is a policy name or a :class:`ShardPlan` to serve."""
+        if isinstance(policy, ShardPlan):
+            backend = _FixedPlanBackend(NET, shards=shards, noc=noc)
+            backend.fixed = policy
+        else:
+            backend = ShardedBackend(NET, shards=shards, shard=policy, noc=noc)
         rate = 0.3 if stretch else 0.0
         plan = FaultPlan(
             seed=11,
@@ -819,24 +900,12 @@ class TestPlanThenPrice:
             result = work(backend)
         return result, inj.event_log()
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_price_equals_executed_schedule(self, data):
-        policy = data.draw(st.sampled_from(["sample", "layer", "pipeline"]))
-        shards = data.draw(st.integers(1, 8))
-        noc = data.draw(st.sampled_from(["flat", "ring", "mesh"]))
-        batch = data.draw(st.integers(1, 20))  # batch < K included
-        killed = data.draw(
-            st.sets(st.integers(0, shards - 1), max_size=shards - 1)
-        )
-        chunk = data.draw(st.one_of(st.none(), st.integers(1, 6)))
-        stretch = data.draw(st.booleans())
-        first_trainable = data.draw(st.sampled_from([0, LAST_PARAM]))
-        states = np.random.default_rng(batch + 31 * shards).uniform(
+    def _check(self, config, batch, first_trainable):
+        """Price and executed reference agree on every field, the fault
+        log and the Q bytes, which are the single-array datapath's."""
+        states = np.random.default_rng(batch + 31 * config[1]).uniform(
             0, 1, size=(batch, 1, SIDE, SIDE)
         )
-        config = (policy, shards, noc, chunk, killed, stretch)
-
         (forward, train), log = self._run(*config, lambda b: (
             b.forward_batch(states),
             b.train_cost(batch, (1, SIDE, SIDE), first_trainable),
@@ -846,21 +915,53 @@ class TestPlanThenPrice:
             reference_train_cost(b, batch, (1, SIDE, SIDE), first_trainable),
         ))
         (q, cost), (ref_q, ref_cost) = forward, ref_forward
-        # Every StepCost field, and the fault ledger, match the
-        # executed schedule.
         assert cost == ref_cost
         assert train == ref_train
         assert log == ref_log
-        # Numerics: bitwise the single-array datapath.
         single_q, _ = SystolicBackend(NET).forward_batch(states)
         assert q.dtype == single_q.dtype and q.tobytes() == single_q.tobytes()
         assert q.tobytes() == ref_q.tobytes()
+        return cost, train
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_price_equals_executed_schedule(self, data):
+        shards = data.draw(st.integers(1, 8))
+        noc = data.draw(st.sampled_from(["flat", "ring", "mesh"]))
+        batch = data.draw(st.integers(1, 20))  # batch < K included
+        killed = data.draw(
+            st.sets(st.integers(0, shards - 1), max_size=shards - 1)
+        )
+        alive = tuple(k for k in range(shards) if k not in killed)
+        # Half the draws are one of the three policies' plans, half a
+        # random plan.
+        policy = data.draw(st.one_of(
+            st.sampled_from(["sample", "layer", "pipeline"]), st.none()
+        ))
+        if policy is None:
+            policy = _draw_plan(data, alive, batch)
+        stretch = data.draw(st.booleans())
+        first_trainable = data.draw(st.sampled_from([0, LAST_PARAM]))
+        cost, train = self._check(
+            (policy, shards, noc, killed, stretch), batch, first_trainable
+        )
         # No schedule beats perfect division of its work.
-        survivors = shards - len(killed)
         for c in (cost, train):
-            assert c.critical_path_cycles >= -(-c.total_cycles // survivors)
+            assert c.critical_path_cycles >= -(-c.total_cycles // len(alive))
+            assert c.fill_drain_cycles >= 0
             if noc == "flat":
                 assert c.merge_cycles == c.merge_hops
+
+    @pytest.mark.parametrize("noc", ["flat", "ring", "mesh"])
+    @pytest.mark.parametrize("first_trainable", [0, LAST_PARAM])
+    def test_mixed_plan_prices_what_it_executes(self, noc, first_trainable):
+        """An output-split conv stage feeding a batch-split FC stage —
+        a plan none of the three policies builds — under chaos."""
+        cost, train = self._check(
+            (MIXED_PLAN, 4, noc, set(), True), 9, first_trainable
+        )
+        assert all(cost.shard_cycles) and all(train.shard_cycles)
+        assert cost.merge_cycles > 0 and train.merge_cycles > 0
 
     @pytest.mark.parametrize("policy", ["sample", "layer", "pipeline"])
     def test_spans_price_each_piece_and_time_one_forward(self, policy):
