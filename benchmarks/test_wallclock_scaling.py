@@ -47,9 +47,7 @@ MEMO_STEPS = 20
 MEMO_HIT_RATE_FLOOR = 0.9
 #: Ceiling on the first (table-filling) step's misses: 4
 #: ``conv_rowstationary_stats`` + 19 ``fc_tile_stats`` + 1
-#: ``network_training_step_cost`` + 1 ``sharded_price`` = 25 today (the
-#: sharded price costs its pieces layer by layer, no longer through a
-#: second whole-network record; the ceiling stays where it was).
+#: ``network_training_step_cost`` + 1 ``sharded_price`` = 25 today.
 MEMO_COLD_MISS_CEILING = 26
 #: Ceiling on the oracle lookups of one steady-state step.
 MEMO_STEADY_LOOKUPS_CEILING = 9

@@ -750,9 +750,15 @@ class ShardedBackend(ExecutionBackend):
              for arrays, split in zip(plan.arrays, plan.splits)],
         )
 
-        def placed(p: int, m: int) -> list[tuple[int, int, int]]:
-            served = plan.arrays[stage_of[p]][assign[stage_of[p]][m]]
-            return [(served if k is None else k, lo, hi) for k, lo, hi in parts[p]]
+        # placed[p][m]: the pieces of layer p on micro-batch m, each
+        # on its array.
+        placed = [
+            [
+                [(arrays[a] if k is None else k, lo, hi) for k, lo, hi in parts[p]]
+                for a in assign[stage_of[p]]
+            ]
+            for p, arrays in enumerate(plan.arrays[s] for s in stage_of)
+        ]
 
         shard_cycles = [0] * self.shards
         layer_cycles: dict[str, int] = {}
@@ -769,15 +775,15 @@ class ShardedBackend(ExecutionBackend):
         for s, (first, last) in enumerate(stages):
             for m, rows in enumerate(plan.sizes):
                 if batch[first]:
-                    args = {"shard": placed(first, m)[0][0], "stage": s, "states": rows}
+                    args = {"shard": placed[first][m][0][0], "stage": s, "states": rows}
                     spans.append((times[s][m], args))
                 for p in range(first, last):
                     index, layer, in_shape, out_shape = walk[p]
-                    here = placed(p, m)
+                    here = placed[p][m]
                     hub = here[0][0]
                     if p:
-                        below = placed(p - 1, m)
-                        act = rows * int(np.prod(in_shape))
+                        below = placed[p - 1][m]
+                        act = rows * in_shape[0] * in_shape[1] * in_shape[2]
                         back = walk[p - 1][0] >= train_from  # dX returns below
                         if batch[p - 1] and batch[p]:
                             # A whole-layer hand-off: the activation and
@@ -811,7 +817,7 @@ class ShardedBackend(ExecutionBackend):
                         ship(rows * (hi - lo) * out_shape[1] * out_shape[2], k, hub)
                 if last == len(walk) and first_trainable is None:
                     # Every micro-batch's Q rows end on the first one's hub.
-                    ship(rows * out_elements, hub, placed(p, 0)[0][0])
+                    ship(rows * out_elements, hub, placed[p][0][0][0])
         lanes = []
         for s, arrays in enumerate(plan.arrays):
             if plan.splits[s] == "batch":

@@ -10,10 +10,11 @@ Contracts under test:
 * a sharded ``StepCost`` separates work (summed layer cycles) from
   wall-clock (critical path = slowest array + merge traffic), and
   summed records accumulate critical paths serially;
-* every policy's price equals the executing reference
-  (``tests/sharded_reference.py``) field for field — forward and
-  training, with arrays killed and chaos stretching the schedule —
-  over policy x K x NoC x batch x survivor set (hypothesis);
+* the price of every plan — the three policies' and random mixed
+  ones — equals the executing reference (``tests/sharded_reference.py``)
+  field for field — forward and training, with arrays killed and chaos
+  stretching the schedule — over plan x K x NoC x batch x survivor set
+  (hypothesis);
 * sample sharding at K=4 serves the fleet observation batch in
   <= 0.3x the single-array cycle budget (the multi-array payoff);
 * the ``WeightBus`` flips the serving snapshot every ``sync_every``
