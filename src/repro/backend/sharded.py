@@ -666,8 +666,6 @@ class ShardedBackend(ExecutionBackend):
         if plan is None:
             plan = self._plans[where] = self.plan(*where)
         args = (plan, state_shape, first_trainable)
-        if not _memo.memo_enabled():
-            return self._price(*args)
         key = (self._geometry, self.config, self._noc) + args
         table = _memo.cache("sharded_price")
         priced = table.get(key)

@@ -33,7 +33,7 @@ from repro.env.generators import (
 )
 from repro.env.drone import Drone, Action, ACTIONS, TURN_ANGLES_DEG
 from repro.env.camera import DepthCamera, StereoNoiseModel
-from repro.env.reward import center_window_reward, compute_reward, RewardConfig, REWARD_KINDS
+from repro.env.reward import compute_reward, RewardConfig
 from repro.env.dynamics import InertialDrone
 from repro.env.episode import NavigationEnv, Transition, SafeFlightTracker
 from repro.env.fps import (
@@ -47,11 +47,6 @@ from repro.env.realtime import (
     RealTimeReport,
     simulate_frame_queue,
     max_realtime_velocity,
-)
-from repro.env.maneuver import (
-    evasive_maneuver_distance,
-    required_sighting_distance,
-    fig1_law_is_perception_limited,
 )
 
 __all__ = [
@@ -80,10 +75,8 @@ __all__ = [
     "TURN_ANGLES_DEG",
     "DepthCamera",
     "StereoNoiseModel",
-    "center_window_reward",
     "compute_reward",
     "RewardConfig",
-    "REWARD_KINDS",
     "InertialDrone",
     "NavigationEnv",
     "Transition",
@@ -98,7 +91,4 @@ __all__ = [
     "RealTimeReport",
     "simulate_frame_queue",
     "max_realtime_velocity",
-    "evasive_maneuver_distance",
-    "required_sighting_distance",
-    "fig1_law_is_perception_limited",
 ]

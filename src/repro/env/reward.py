@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RewardConfig", "REWARD_KINDS", "center_window_reward", "compute_reward"]
-
-
-#: Supported reward aggregations over the centre window.  "mean" is the
-#: paper's; "min" is a conservative variant (reward tracks the nearest
-#: obstacle in view); "softmin" interpolates between the two.
-REWARD_KINDS = ("mean", "min", "softmin")
+__all__ = ["RewardConfig", "compute_reward"]
 
 
 @dataclass(frozen=True)
@@ -31,32 +25,19 @@ class RewardConfig:
         Side of the centre window as a fraction of each image dimension.
     crash_reward:
         Reward delivered on collision (episode-terminal).
-    kind:
-        Window aggregation; ``"mean"`` (the paper), ``"min"`` or
-        ``"softmin"``.
-    softmin_temperature:
-        Sharpness of the softmin variant (smaller = closer to min).
     """
 
     window_fraction: float = 1.0 / 3.0
     crash_reward: float = -1.0
-    kind: str = "mean"
-    softmin_temperature: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.window_fraction <= 1.0:
             raise ValueError("window_fraction must be in (0, 1]")
         if self.crash_reward >= 0.0:
             raise ValueError("crash reward should be negative")
-        if self.kind not in REWARD_KINDS:
-            raise ValueError(f"kind must be one of {REWARD_KINDS}")
-        if self.softmin_temperature <= 0.0:
-            raise ValueError("softmin temperature must be positive")
 
 
-def center_window_reward(
-    depth_image: np.ndarray, window_fraction: float = 1.0 / 3.0
-) -> float:
+def compute_reward(depth_image: np.ndarray, config: RewardConfig) -> float:
     """Average normalised depth over the image's centre window.
 
     ``depth_image`` must already be normalised to [0, 1] (divide by the
@@ -66,37 +47,9 @@ def center_window_reward(
     img = np.asarray(depth_image, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError("depth image must be 2-D")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must be in (0, 1]")
     h, w = img.shape
-    wh = max(int(round(h * window_fraction)), 1)
-    ww = max(int(round(w * window_fraction)), 1)
+    wh = max(int(round(h * config.window_fraction)), 1)
+    ww = max(int(round(w * config.window_fraction)), 1)
     top = (h - wh) // 2
     left = (w - ww) // 2
-    window = img[top : top + wh, left : left + ww]
-    return float(window.mean())
-
-
-def _center_window(img: np.ndarray, window_fraction: float) -> np.ndarray:
-    h, w = img.shape
-    wh = max(int(round(h * window_fraction)), 1)
-    ww = max(int(round(w * window_fraction)), 1)
-    top = (h - wh) // 2
-    left = (w - ww) // 2
-    return img[top : top + wh, left : left + ww]
-
-
-def compute_reward(depth_image: np.ndarray, config: RewardConfig) -> float:
-    """Aggregate the centre window according to ``config.kind``."""
-    img = np.asarray(depth_image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError("depth image must be 2-D")
-    window = _center_window(img, config.window_fraction)
-    if config.kind == "mean":
-        return float(window.mean())
-    if config.kind == "min":
-        return float(window.min())
-    # softmin: temperature-weighted toward the nearest depth.
-    flat = window.reshape(-1)
-    weights = np.exp(-flat / config.softmin_temperature)
-    return float(np.sum(flat * weights) / np.sum(weights))
+    return float(img[top : top + wh, left : left + ww].mean())

@@ -344,12 +344,10 @@ class VecNavigationEnv:
         self.episode_steps = np.zeros(self.num_envs, dtype=np.int64)
         self.episode_counts = np.zeros(self.num_envs, dtype=np.int64)
         self.total_steps = 0
-        # Centre-window rewards batch when every env shares the paper's
-        # "mean" aggregation; other kinds fall back to per-env calls.
+        # Centre-window rewards batch when every env shares one reward
+        # config; mixed configs fall back to per-env calls.
         config = envs[0].reward_config
-        self._batch_rewards = config.kind == "mean" and all(
-            env.reward_config == config for env in envs
-        )
+        self._batch_rewards = all(env.reward_config == config for env in envs)
         if self._batch_rewards:
             h, w = envs[0].camera.height, envs[0].camera.width
             wh = max(int(round(h * config.window_fraction)), 1)

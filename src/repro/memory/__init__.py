@@ -26,7 +26,6 @@ from repro.memory.devices import (
     CameraDram,
 )
 from repro.memory.mapping import WeightMapper, Placement, MappingReport
-from repro.memory.hbm import HbmAddress, HbmOrganization
 
 __all__ = [
     "MemoryTechnology",
@@ -45,6 +44,4 @@ __all__ = [
     "WeightMapper",
     "Placement",
     "MappingReport",
-    "HbmAddress",
-    "HbmOrganization",
 ]

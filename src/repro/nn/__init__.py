@@ -6,7 +6,7 @@ training: only the last ``i`` fully connected layers are updated in real
 time (configurations L2/L3/L4), while the frozen prefix lives in STT-MRAM.
 
 This package implements the layers, the network container with
-``backward(..., first_trainable=...)`` partial backpropagation, optimisers,
+``backward(..., first_trainable=...)`` partial backpropagation, an SGD optimiser,
 Q-learning losses, and the paper's network specifications at both paper
 scale (for analytic hardware costing) and reduced scale (for functional RL
 training inside tests and benchmarks).
@@ -21,11 +21,10 @@ from repro.nn.layers import (
     ReLU,
     LocalResponseNorm,
     MaxPool2D,
-    Dropout,
     Flatten,
 )
 from repro.nn.network import Network
-from repro.nn.optim import SGD, RMSProp, Optimizer
+from repro.nn.optim import SGD, Optimizer
 from repro.nn.losses import mse_loss, huber_loss, q_learning_loss
 from repro.nn.specs import ConvSpec, FCSpec, LayerSpec, NetworkSpec
 from repro.nn.alexnet import (
@@ -34,7 +33,7 @@ from repro.nn.alexnet import (
     build_network,
     parameter_table,
 )
-from repro.nn.quantize import QuantizedNetwork, quantize_network_report
+from repro.nn.quantize import QuantizedNetwork
 
 __all__ = [
     "he_normal",
@@ -45,11 +44,9 @@ __all__ = [
     "ReLU",
     "LocalResponseNorm",
     "MaxPool2D",
-    "Dropout",
     "Flatten",
     "Network",
     "SGD",
-    "RMSProp",
     "Optimizer",
     "mse_loss",
     "huber_loss",
@@ -63,5 +60,4 @@ __all__ = [
     "build_network",
     "parameter_table",
     "QuantizedNetwork",
-    "quantize_network_report",
 ]

@@ -14,6 +14,8 @@ accelerator simulation stay numerically aligned.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.initializers import he_normal
@@ -29,7 +31,6 @@ __all__ = [
     "ReLU",
     "LocalResponseNorm",
     "MaxPool2D",
-    "Dropout",
     "Flatten",
 ]
 
@@ -324,36 +325,6 @@ class MaxPool2D(Layer):
         return dx.reshape(n, c, h, w)
 
 
-class Dropout(Layer):
-    """Inverted dropout (AlexNet regularises its FC layers with p=0.5).
-
-    Active only in training mode; inference passes activations through
-    unchanged (the inverted scaling keeps expectations equal), so the
-    deployed fixed-point datapath never sees it.
-    """
-
-    def __init__(self, rate: float = 0.5, name: str = "dropout", seed: int = 0):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("rate must be in [0, 1)")
-        self.rate = rate
-        self.name = name
-        self._rng = np.random.default_rng(seed)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
 class Flatten(Layer):
     """Flatten (N, C, H, W) feature maps into (N, C*H*W) vectors."""
 
@@ -364,7 +335,7 @@ class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
             self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._shape is None:

@@ -2,7 +2,7 @@
 
 The paper's platform accumulates weight/bias gradient *sums* over a batch
 in the SRAM global buffer and applies one update per training iteration
-(Fig. 3b); both optimisers here therefore expose a plain ``step()`` over
+(Fig. 3b); the optimiser here therefore exposes a plain ``step()`` over
 already-accumulated gradients, mirroring that execution model.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.nn.layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "RMSProp"]
+__all__ = ["Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -55,26 +55,3 @@ class SGD(Optimizer):
             else:
                 p.value -= self.lr * p.grad
 
-
-class RMSProp(Optimizer):
-    """RMSProp, the optimiser conventionally used with DQN-style agents."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        decay: float = 0.95,
-        eps: float = 1e-8,
-    ):
-        super().__init__(params, lr)
-        if not 0.0 < decay < 1.0:
-            raise ValueError("decay must be in (0, 1)")
-        self.decay = decay
-        self.eps = eps
-        self._mean_square = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self) -> None:
-        for ms, p in zip(self._mean_square, self.params):
-            ms *= self.decay
-            ms += (1.0 - self.decay) * p.grad**2
-            p.value -= self.lr * p.grad / (np.sqrt(ms) + self.eps)

@@ -19,7 +19,7 @@ from repro.nn.layers import Conv2D, Dense
 from repro.nn.network import Network
 from repro.systolic.kernels import conv2d_gemm, fc_forward_gemm
 
-__all__ = ["QuantizedNetwork", "quantize_network_report"]
+__all__ = ["QuantizedNetwork"]
 
 
 class QuantizedNetwork:
@@ -126,24 +126,3 @@ class QuantizedNetwork:
         qp = self.predict_batch(states).argmax(axis=1)
         return float(np.mean(fp == qp))
 
-
-def quantize_network_report(
-    network: Network, formats: list[QFormat] | None = None
-) -> list[dict[str, float]]:
-    """Weight-quantisation error per format, for a format-choice study."""
-    if formats is None:
-        formats = [QFormat(2, 5), Q8_8, Q2_13]
-    rows = []
-    flat = np.concatenate([p.value.ravel() for p in network.parameters()])
-    for fmt in formats:
-        stats = quantization_stats(flat, fmt)
-        rows.append(
-            {
-                "format": str(fmt),
-                "bits": fmt.total_bits,
-                "max_abs_error": stats.max_abs_error,
-                "snr_db": stats.snr_db,
-                "saturated_fraction": stats.saturated_fraction,
-            }
-        )
-    return rows

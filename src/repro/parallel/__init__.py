@@ -12,20 +12,16 @@ from repro.parallel.memo import (
     MemoCache,
     cache,
     clear_memo_caches,
-    memo_disabled,
     memo_stats,
     memoised,
     publish_memo_metrics,
-    set_memo_enabled,
 )
 
 __all__ = [
     "MemoCache",
     "cache",
     "clear_memo_caches",
-    "memo_disabled",
     "memo_stats",
     "memoised",
     "publish_memo_metrics",
-    "set_memo_enabled",
 ]

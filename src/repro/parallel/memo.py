@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from contextlib import contextmanager
 
 from repro.obs.probes import PROBE
 
@@ -28,16 +27,12 @@ __all__ = [
     "MemoCache",
     "cache",
     "memoised",
-    "memo_enabled",
-    "set_memo_enabled",
-    "memo_disabled",
     "memo_stats",
     "clear_memo_caches",
     "publish_memo_metrics",
 ]
 
 _MISS = object()
-_ENABLED = True
 _LOCK = threading.Lock()
 _CACHES: dict[str, "MemoCache"] = {}
 
@@ -94,10 +89,7 @@ def memoised(name: str):
     """Memoise a pure function of hashable arguments under ``name``.
 
     The wrapped function keeps the original behind ``__wrapped__`` and
-    exposes its table as ``.memo``.  With memoisation disabled
-    (:func:`set_memo_enabled` / :func:`memo_disabled`) the call falls
-    straight through to the original — the pre-memo recompute path the
-    wall-clock benchmark uses as its baseline.
+    exposes its table as ``.memo``.
     """
 
     def wrap(fn):
@@ -105,8 +97,6 @@ def memoised(name: str):
 
         @functools.wraps(fn)
         def inner(*args, **kwargs):
-            if not _ENABLED:
-                return fn(*args, **kwargs)
             key = (args, tuple(sorted(kwargs.items()))) if kwargs else args
             value = memo.get(key)
             if value is _MISS:
@@ -117,28 +107,6 @@ def memoised(name: str):
         return inner
 
     return wrap
-
-
-def memo_enabled() -> bool:
-    return _ENABLED
-
-
-def set_memo_enabled(flag: bool) -> bool:
-    """Set the global memo switch; returns the previous value."""
-    global _ENABLED
-    prior = _ENABLED
-    _ENABLED = bool(flag)
-    return prior
-
-
-@contextmanager
-def memo_disabled():
-    """Run a block on the recompute path (baseline measurements)."""
-    prior = set_memo_enabled(False)
-    try:
-        yield
-    finally:
-        set_memo_enabled(prior)
 
 
 def clear_memo_caches() -> None:

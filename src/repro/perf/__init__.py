@@ -39,18 +39,12 @@ from repro.perf.traffic import (
     FleetLoadProjection,
     project_fleet_load,
 )
-from repro.perf.battery import BatteryModel, FlightEnvelope
 from repro.perf.roofline import RooflineModel, RooflinePoint
 from repro.perf.timeline import Phase, IterationTimeline, build_timeline
 from repro.perf.sensitivity import (
     SensitivityPoint,
     scale_calibration,
     sensitivity_sweep,
-)
-from repro.perf.activations import (
-    ActivationFootprint,
-    activation_report,
-    peak_activation_bytes,
 )
 
 __all__ = [
@@ -71,8 +65,6 @@ __all__ = [
     "EnduranceEstimate",
     "FleetLoadProjection",
     "project_fleet_load",
-    "BatteryModel",
-    "FlightEnvelope",
     "RooflineModel",
     "RooflinePoint",
     "Phase",
@@ -81,7 +73,4 @@ __all__ = [
     "SensitivityPoint",
     "scale_calibration",
     "sensitivity_sweep",
-    "ActivationFootprint",
-    "activation_report",
-    "peak_activation_bytes",
 ]

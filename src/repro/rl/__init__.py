@@ -30,14 +30,8 @@ from repro.rl.experiment import (
     online_adapt,
     run_transfer_experiment,
 )
-from repro.rl.evaluation import (
-    EvaluationResult,
-    evaluate_policy,
-    evaluate_state_dict,
-)
+from repro.rl.evaluation import EvaluationResult, evaluate_policy
 from repro.rl.sweep import SeedStatistics, SweepResult, run_seed_sweep
-from repro.rl.checkpoint import save_result, load_result
-from repro.rl.wrappers import FrameStack
 
 __all__ = [
     "ReplayBuffer",
@@ -57,11 +51,7 @@ __all__ = [
     "run_transfer_experiment",
     "EvaluationResult",
     "evaluate_policy",
-    "evaluate_state_dict",
     "SeedStatistics",
     "SweepResult",
     "run_seed_sweep",
-    "save_result",
-    "load_result",
-    "FrameStack",
 ]

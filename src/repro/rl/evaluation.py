@@ -3,8 +3,7 @@
 Fig. 11's safe-flight-distance comparison is cleanest when measured with
 a *frozen* greedy policy (no exploration noise, no ongoing updates).
 :func:`evaluate_policy` runs such an evaluation and reports SFD, reward
-statistics and the action distribution; :func:`evaluate_state_dict`
-wraps it for a saved model.
+statistics and the action distribution.
 """
 
 from __future__ import annotations
@@ -13,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.env.camera import DepthCamera, StereoNoiseModel
 from repro.env.episode import NavigationEnv
-from repro.env.generators import make_environment
 from repro.env.trace import FlightTrace
-from repro.nn.alexnet import build_network, scaled_drone_net_spec
 from repro.nn.network import Network
 
-__all__ = ["EvaluationResult", "evaluate_policy", "evaluate_state_dict"]
+__all__ = ["EvaluationResult", "evaluate_policy"]
 
 
 @dataclass(frozen=True)
@@ -82,22 +78,3 @@ def evaluate_policy(
         trace=trace,
     )
 
-
-def evaluate_state_dict(
-    state: dict[str, np.ndarray],
-    env_name: str,
-    steps: int = 1000,
-    image_side: int = 16,
-    seed: int = 0,
-) -> EvaluationResult:
-    """Evaluate a saved scaled-drone-net model in a named environment."""
-    spec = scaled_drone_net_spec(input_side=image_side)
-    network = build_network(spec, seed=seed)
-    network.load_state_dict(state)
-    world = make_environment(env_name, seed=seed)
-    env = NavigationEnv(
-        world,
-        camera=DepthCamera(width=image_side, height=image_side, noise=StereoNoiseModel()),
-        seed=seed + 31,
-    )
-    return evaluate_policy(network, env, steps=steps, seed=seed)

@@ -54,7 +54,6 @@ from repro.systolic.fc_functional import (
     simulate_fc_forward,
     simulate_fc_backward_transposed,
 )
-from repro.systolic.schedule import ArrayPass, ConvSchedule, build_conv_schedule
 from repro.systolic.noc import (
     NOC_TOPOLOGIES,
     CommunicationCost,
@@ -90,9 +89,6 @@ __all__ = [
     "FCSimResult",
     "simulate_fc_forward",
     "simulate_fc_backward_transposed",
-    "ArrayPass",
-    "ConvSchedule",
-    "build_conv_schedule",
     "CommunicationCost",
     "NocModel",
     "NOC_TOPOLOGIES",

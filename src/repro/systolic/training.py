@@ -361,23 +361,19 @@ def network_training_step_cost(
     """
     from repro.parallel import memo as _memo
 
-    if _memo.memo_enabled():
-        key = (
-            _network_cost_signature(network, first_trainable),
-            tuple(int(v) for v in state_shape), int(batch), config,
-        )
-        table = _memo.cache("network_training_step_cost")
-        cost = table.get(key)
-        if cost is not _memo._MISS:
-            return cost
-        return table.put(
-            key,
-            _network_training_step_cost(
-                network, state_shape, batch, config, first_trainable
-            ),
-        )
-    return _network_training_step_cost(
-        network, state_shape, batch, config, first_trainable
+    key = (
+        _network_cost_signature(network, first_trainable),
+        tuple(int(v) for v in state_shape), int(batch), config,
+    )
+    table = _memo.cache("network_training_step_cost")
+    cost = table.get(key)
+    if cost is not _memo._MISS:
+        return cost
+    return table.put(
+        key,
+        _network_training_step_cost(
+            network, state_shape, batch, config, first_trainable
+        ),
     )
 
 
@@ -413,7 +409,7 @@ def _layer_walk(network, state_shape: tuple[int, ...]) -> tuple[list, int]:
     holds ``(index, layer, in_shape, out_shape)`` for every conv / FC
     layer, both as (C, H, W) (an FC row is ``(features, 1, 1)``), and
     ``out_elements`` is the element count of the network's output row.
-    ReLU / norm / dropout / flatten change no shape that matters here
+    ReLU / norm / flatten change no shape that matters here
     (flatten keeps C*H*W, which is what ``Dense.in_features`` reads).
     """
     from repro.nn.layers import Conv2D, Dense, MaxPool2D

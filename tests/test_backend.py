@@ -20,6 +20,7 @@ import pytest
 
 from repro.backend import (
     BACKENDS,
+    SHARD_POLICIES,
     NumpyBackend,
     QuantizedBackend,
     StepCost,
@@ -140,6 +141,28 @@ class TestStepCost:
         assert merged.merge_cycles == 7
         assert merged.critical_path_cycles == cost.critical_path_cycles
         assert merged.critical_shard_index == cost.critical_shard_index
+
+
+EMPTY_BATCH_CASES = [
+    (name, {"shards": 2, "shard": policy} if name == "sharded" else {})
+    for name in sorted(BACKENDS)
+    for policy in (SHARD_POLICIES if name == "sharded" else (None,))
+]
+
+
+@pytest.mark.parametrize(
+    "name,kwargs",
+    EMPTY_BATCH_CASES,
+    ids=[f"{n}-{k['shard']}" if k else n for n, k in EMPTY_BATCH_CASES],
+)
+def test_empty_batch_serves_nothing(name, kwargs):
+    """A 0-row batch returns a (0, actions) Q array and serves no state
+    and no MAC on every backend and shard policy."""
+    net = make_net()
+    backend = make_backend(name, net, **kwargs)
+    q_values, cost = backend.forward_batch(np.zeros((0, 1, SIDE, SIDE)))
+    assert q_values.shape == (0, net.layers[-1].out_features)
+    assert cost.states == 0 and cost.macs == 0
 
 
 class TestNumpyBackend:

@@ -9,7 +9,6 @@ from repro.analysis import (
     format_fig12_table,
     format_mapping_table,
     format_table,
-    write_csv,
 )
 from repro.core import CoDesign, paper_platform, paper_system_parameters
 from repro.nn import modified_alexnet_spec
@@ -153,13 +152,3 @@ class TestAnalysis:
             ascii_bars(["a"], [1.0, 2.0])
         with pytest.raises(ValueError):
             ascii_bars(["a"], [0.0])
-
-    def test_write_csv(self, tmp_path):
-        path = write_csv(tmp_path / "out.csv", ["x", "y"], [[1, 2], [3, 4]])
-        content = path.read_text().strip().splitlines()
-        assert content[0] == "x,y"
-        assert len(content) == 3
-
-    def test_write_csv_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_csv(tmp_path / "o.csv", ["x"], [[1, 2]])

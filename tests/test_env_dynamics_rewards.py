@@ -1,4 +1,4 @@
-"""Tests for the inertial drone model and reward-shaping variants."""
+"""Tests for the inertial drone model and the centre-window reward."""
 
 import numpy as np
 import pytest
@@ -85,57 +85,8 @@ class TestInertialDrone:
 
 
 class TestRewardVariants:
-    def make_image(self):
+    def test_mean_is_paper_reward(self):
         img = np.full((9, 9), 0.8)
         img[4, 4] = 0.1  # one close obstacle pixel dead centre
-        return img
-
-    def test_mean_is_paper_reward(self):
-        img = self.make_image()
-        config = RewardConfig(kind="mean")
         window_mean = (0.8 * 8 + 0.1) / 9
-        assert compute_reward(img, config) == pytest.approx(window_mean)
-
-    def test_min_tracks_nearest(self):
-        assert compute_reward(self.make_image(), RewardConfig(kind="min")) == pytest.approx(0.1)
-
-    def test_softmin_between_min_and_mean(self):
-        img = self.make_image()
-        mean_r = compute_reward(img, RewardConfig(kind="mean"))
-        min_r = compute_reward(img, RewardConfig(kind="min"))
-        soft_r = compute_reward(img, RewardConfig(kind="softmin"))
-        assert min_r < soft_r < mean_r
-
-    def test_softmin_temperature_limits(self):
-        img = self.make_image()
-        sharp = compute_reward(
-            img, RewardConfig(kind="softmin", softmin_temperature=0.01)
-        )
-        smooth = compute_reward(
-            img, RewardConfig(kind="softmin", softmin_temperature=100.0)
-        )
-        assert sharp == pytest.approx(0.1, abs=0.02)
-        assert smooth == pytest.approx(
-            compute_reward(img, RewardConfig(kind="mean")), abs=0.02
-        )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            RewardConfig(kind="max")
-
-    def test_bad_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            RewardConfig(kind="softmin", softmin_temperature=0.0)
-
-    def test_env_with_min_reward_runs(self):
-        world = make_environment("indoor-apartment", seed=0)
-        env = NavigationEnv(
-            world,
-            camera=DepthCamera(width=12, height=12),
-            reward_config=RewardConfig(kind="min"),
-            seed=0,
-        )
-        env.reset()
-        _, reward, done, _ = env.step(0)
-        if not done:
-            assert 0.0 <= reward <= 1.0
+        assert compute_reward(img, RewardConfig()) == pytest.approx(window_mean)

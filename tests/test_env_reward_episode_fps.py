@@ -9,7 +9,7 @@ from repro.env import (
     NavigationEnv,
     RewardConfig,
     SafeFlightTracker,
-    center_window_reward,
+    compute_reward,
     fps_requirement_table,
     make_environment,
     max_safe_velocity,
@@ -20,29 +20,30 @@ from repro.env.fps import PAPER_SPEEDS
 
 class TestCenterWindowReward:
     def test_uniform_image(self):
-        assert center_window_reward(np.full((9, 9), 0.6)) == pytest.approx(0.6)
+        assert compute_reward(np.full((9, 9), 0.6), RewardConfig()) == pytest.approx(0.6)
 
     def test_uses_centre_only(self):
         img = np.zeros((9, 9))
         img[3:6, 3:6] = 1.0  # exactly the centre third
-        assert center_window_reward(img, window_fraction=1 / 3) == pytest.approx(1.0)
+        config = RewardConfig(window_fraction=1 / 3)
+        assert compute_reward(img, config) == pytest.approx(1.0)
 
     def test_full_window_is_global_mean(self, rng):
         img = rng.uniform(size=(8, 8))
-        assert center_window_reward(img, window_fraction=1.0) == pytest.approx(
-            img.mean()
-        )
+        config = RewardConfig(window_fraction=1.0)
+        assert compute_reward(img, config) == pytest.approx(img.mean())
 
     def test_open_space_scores_higher(self):
         open_ahead = np.full((9, 9), 0.9)
         blocked = np.full((9, 9), 0.1)
-        assert center_window_reward(open_ahead) > center_window_reward(blocked)
+        config = RewardConfig()
+        assert compute_reward(open_ahead, config) > compute_reward(blocked, config)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            center_window_reward(np.zeros(5))
+            compute_reward(np.zeros(5), RewardConfig())
         with pytest.raises(ValueError):
-            center_window_reward(np.zeros((5, 5)), window_fraction=0.0)
+            RewardConfig(window_fraction=0.0)
 
     def test_reward_config_validation(self):
         with pytest.raises(ValueError):

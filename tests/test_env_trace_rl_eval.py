@@ -7,12 +7,13 @@ from repro.env import (
     DepthCamera,
     FlightTrace,
     NavigationEnv,
+    StereoNoiseModel,
     make_environment,
     render_world_ascii,
 )
 from repro.env.world import Pose
 from repro.nn import build_network, scaled_drone_net_spec
-from repro.rl import evaluate_policy, evaluate_state_dict, meta_train
+from repro.rl import evaluate_policy, meta_train
 
 
 class TestFlightTrace:
@@ -115,8 +116,17 @@ class TestEvaluatePolicy:
         """A meta-trained policy should out-fly a random-init one under
         greedy evaluation in its own environment family."""
         meta = meta_train("meta-indoor", iterations=1200, seed=5, image_side=16)
-        trained = evaluate_state_dict(
-            meta.final_state, "indoor-apartment", steps=800, seed=6
+        net = build_network(scaled_drone_net_spec(input_side=16), seed=6)
+        net.load_state_dict(meta.final_state)
+        trained = evaluate_policy(
+            net,
+            NavigationEnv(
+                make_environment("indoor-apartment", seed=6),
+                camera=DepthCamera(width=16, height=16, noise=StereoNoiseModel()),
+                seed=37,
+            ),
+            steps=800,
+            seed=6,
         )
         fresh = build_network(scaled_drone_net_spec(input_side=16), seed=123)
         untrained = evaluate_policy(
@@ -130,8 +140,3 @@ class TestEvaluatePolicy:
             seed=6,
         )
         assert trained.mean_reward > untrained.mean_reward
-
-    def test_evaluate_state_dict_roundtrip(self):
-        meta = meta_train("meta-indoor", iterations=150, seed=0, image_side=16)
-        result = evaluate_state_dict(meta.final_state, "indoor-house", steps=100)
-        assert result.environment == "indoor-house"

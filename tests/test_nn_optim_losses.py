@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.layers import Parameter
 from repro.nn.losses import huber_loss, mse_loss, q_learning_loss
-from repro.nn.optim import RMSProp, SGD
+from repro.nn.optim import SGD
 
 
 def quadratic_param(start=5.0):
@@ -57,36 +57,6 @@ class TestSGD:
         p.grad[:] = 3.0
         opt.zero_grad()
         assert p.grad[0] == 0.0
-
-
-class TestRMSProp:
-    def test_converges_on_quadratic(self):
-        # RMSProp's normalised steps oscillate near the optimum at fixed
-        # lr; convergence to a small neighbourhood is the expectation.
-        p = quadratic_param()
-        opt = RMSProp([p], lr=0.05)
-        for _ in range(500):
-            p.grad[:] = 2 * p.value
-            opt.step()
-        assert abs(p.value[0]) < 0.1
-
-    def test_step_size_adapts_to_gradient_scale(self):
-        # RMSProp normalises by RMS gradient: large and small constant
-        # gradients give (nearly) the same step size.
-        p_small, p_big = quadratic_param(), quadratic_param()
-        small = RMSProp([p_small], lr=0.01)
-        big = RMSProp([p_big], lr=0.01)
-        p_small.grad[:] = 1e-3
-        p_big.grad[:] = 1e3
-        small.step()
-        big.step()
-        assert abs(p_small.value[0] - 5.0) == pytest.approx(
-            abs(p_big.value[0] - 5.0), rel=1e-3
-        )
-
-    def test_invalid_decay(self):
-        with pytest.raises(ValueError):
-            RMSProp([quadratic_param()], lr=0.1, decay=1.5)
 
 
 class TestMSELoss:

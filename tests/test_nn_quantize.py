@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fixedpoint import Q2_13, Q8_8, QFormat
-from repro.nn import QuantizedNetwork, build_network, quantize_network_report
+from repro.nn import QuantizedNetwork, build_network
 
 
 class TestQuantizedNetwork:
@@ -60,18 +60,3 @@ class TestQuantizedNetwork:
         net = build_network(scaled_spec, seed=0)
         stats = QuantizedNetwork(net).weight_error_stats()
         assert stats.max_abs_error <= Q2_13.scale / 2 + 1e-12 or stats.saturated_fraction > 0
-
-
-class TestQuantizeReport:
-    def test_report_rows(self, scaled_spec):
-        net = build_network(scaled_spec, seed=0)
-        rows = quantize_network_report(net)
-        assert len(rows) == 3
-        assert all("snr_db" in r for r in rows)
-
-    def test_snr_improves_with_fraction_bits(self, scaled_spec):
-        net = build_network(scaled_spec, seed=0)
-        rows = quantize_network_report(
-            net, formats=[QFormat(2, 5), QFormat(2, 13)]
-        )
-        assert rows[1]["snr_db"] > rows[0]["snr_db"]

@@ -1,8 +1,8 @@
 """Memoised cost oracles and the running step-cost ledger.
 
-Covers the memoisation layer's hit/miss counters, its recompute bypass
-and metrics export (:mod:`repro.parallel.memo`), plus the ``+`` fold
-the agent's ledgers run against a field-by-field list merge.
+Covers the memoisation layer's hit/miss counters and metrics export
+(:mod:`repro.parallel.memo`), plus the ``+`` fold the agent's ledgers
+run against a field-by-field list merge.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.obs import MetricsRegistry, observed
 from repro.parallel import (
     cache,
     clear_memo_caches,
-    memo_disabled,
     memo_stats,
     memoised,
     publish_memo_metrics,
@@ -40,23 +39,6 @@ class TestMemoisation:
         assert calls == [3, 4]
         assert sq.memo.hits == 1 and sq.memo.misses == 2
         assert sq.memo.hit_rate == pytest.approx(1 / 3)
-
-    def test_memo_disabled_recomputes(self):
-        calls = []
-
-        @memoised("test_parallel_bypass")
-        def f(x):
-            calls.append(x)
-            return x
-
-        f.memo.clear()
-        f(1)
-        with memo_disabled():
-            f(1)
-            f(1)
-        assert calls == [1, 1, 1]
-        f(1)  # re-enabled: cache hit again
-        assert calls == [1, 1, 1]
 
     def test_oracle_calls_are_memoised(self):
         from repro.systolic.cycles import conv_rowstationary_stats

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.env.fps import max_safe_velocity, min_fps_for_collision_avoidance
-from repro.env.reward import center_window_reward
+from repro.env.reward import RewardConfig, compute_reward
 from repro.memory.devices import MemoryDevice
 from repro.memory.technology import STT_MRAM
 from repro.nn.layers import Dense, col2im, im2col
@@ -51,7 +51,7 @@ def test_im2col_col2im_adjoint(n, c, size, kernel, stride, pad, seed):
 def test_center_reward_bounded_by_image_extremes(h, w, fill, frac):
     rng = np.random.default_rng(int(fill * 1e6) % 7919)
     img = np.clip(rng.normal(fill, 0.2, size=(h, w)), 0.0, 1.0)
-    r = center_window_reward(img, window_fraction=frac)
+    r = compute_reward(img, RewardConfig(window_fraction=frac))
     assert img.min() - 1e-12 <= r <= img.max() + 1e-12
 
 

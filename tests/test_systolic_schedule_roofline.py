@@ -1,85 +1,14 @@
-"""Tests for the pass schedule generator and the roofline model."""
+"""Tests for the roofline model."""
 
 import pytest
 
 from repro.nn import modified_alexnet_spec
-from repro.nn.specs import ConvSpec
 from repro.perf import RooflineModel
-from repro.systolic import build_conv_schedule
 
 
 @pytest.fixture(scope="module")
 def spec():
     return modified_alexnet_spec()
-
-
-class TestConvSchedules:
-    @pytest.mark.parametrize(
-        "layer", ["CONV1", "CONV2", "CONV3", "CONV4", "CONV5"]
-    )
-    def test_work_conservation(self, spec, layer):
-        """Every (output row, output channel) pair is produced exactly
-        once across the schedule's final channel split."""
-        conv = spec.layer(layer)
-        schedule = build_conv_schedule(conv)
-        covered = schedule.covered_output_rows()
-        expected = {
-            (row, ch)
-            for row in range(conv.out_height)
-            for ch in range(conv.out_channels)
-        }
-        assert covered == expected
-
-    def test_pass_count_matches_mapping(self, spec):
-        conv = spec.layer("CONV1")
-        schedule = build_conv_schedule(conv)
-        m = schedule.mapping
-        assert len(schedule.passes) == m.row_passes * m.channel_passes * m.channel_split
-
-    def test_conv1_schedule_structure(self, spec):
-        schedule = build_conv_schedule(spec.layer("CONV1"))
-        # 2 row passes x 2 channel passes, no channel split.
-        assert len(schedule.passes) == 4
-        first = schedule.passes[0]
-        assert first.out_rows == (0, 32)
-        assert first.out_channels == (0, 48)
-
-    def test_conv2_channel_splits_interleaved(self, spec):
-        schedule = build_conv_schedule(spec.layer("CONV2"))
-        splits = {p.channel_split for p in schedule.passes}
-        assert splits == {0, 1}
-
-    def test_weight_bits_cover_all_filters(self, spec):
-        """Across channel passes at a fixed row pass and split, every
-        filter's rows stream at least once."""
-        conv = spec.layer("CONV3")
-        schedule = build_conv_schedule(conv)
-        m = schedule.mapping
-        per_filter_bits = conv.kernel**2 * (conv.in_channels // 2) * 16
-        one_row_pass = [
-            p for p in schedule.passes if p.out_rows[0] == 0 and p.channel_split == 0
-        ]
-        total = sum(p.weight_bits for p in one_row_pass)
-        assert total >= conv.out_channels * per_filter_bits
-
-    def test_input_bits_cover_receptive_field(self, spec):
-        conv = spec.layer("CONV1")
-        schedule = build_conv_schedule(conv)
-        first = schedule.passes[0]
-        # 32 output rows at stride 4 need 31*4+11 = 135 input rows
-        # (the "135 rows" the paper quotes for Fig. 6a).
-        expected_rows = 31 * 4 + 11
-        assert first.input_bits == expected_rows * conv.in_width * 3 * 16
-
-    def test_output_elements_accounting(self, spec):
-        schedule = build_conv_schedule(spec.layer("CONV1"))
-        total = sum(
-            p.output_elements
-            for p in schedule.passes
-            if p.channel_split == schedule.mapping.channel_split - 1
-        )
-        conv = spec.layer("CONV1")
-        assert total == conv.out_height * conv.out_channels
 
 
 class TestRoofline:
