@@ -29,6 +29,8 @@ CI-uploaded record of the degraded-run floor and recovery ceiling.
 
 import os
 
+import pytest
+
 from _artifacts import write_artifacts
 from repro.backend import ShardedBackend
 from repro.faults import chaos, parse_fault_spec
@@ -153,7 +155,9 @@ def test_fault_tolerance(benchmark, results_dir):
     )
 
     projection = scheduler.project_load(report)
-    assert projection.availability == report.availability
+    assert projection.available_sustainable_steps_per_second == pytest.approx(
+        projection.sharded_sustainable_steps_per_second * report.availability
+    )
 
     by_kind: dict[str, int] = {}
     for event in report.fault_events:

@@ -458,6 +458,11 @@ class ExecutionBackend:
     #: path), so a :class:`WeightBus` in front of it has no staleness.
     has_snapshot: bool = True
 
+    #: The array geometry and clock the backend's cycles run at (a
+    #: backend without a hardware model charges none; its zero cycles
+    #: convert at the paper array's clock).
+    config: ArrayConfig = PAPER_ARRAY
+
     def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, StepCost]:
         """Q values and accelerator cost for an (N, C, H, W) state batch."""
         raise NotImplementedError

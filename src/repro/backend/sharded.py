@@ -272,10 +272,11 @@ def _plan_sample(network, config, rows, state_shape, alive) -> ShardPlan:
 
 
 def _plan_layer(network, config, rows, state_shape, alive) -> ShardPlan:
-    """One output-split stage over every survivor, one micro-batch."""
+    """One output-split stage over every survivor, one micro-batch (none
+    for an empty batch)."""
     return ShardPlan(
         bounds=(0, len(network.parametric_layers())),
-        arrays=(alive,), splits=("output",), sizes=(rows,),
+        arrays=(alive,), splits=("output",), sizes=(rows,) if rows else (),
     )
 
 

@@ -279,4 +279,7 @@ class SystolicBackend(ExecutionBackend):
                 # vector units — shape bookkeeping here, no MAC cycles.
                 x = layer.forward(x, training=False)
             x = self._requantize(x)
-        return x, _single_array_cost(self.name, n, total_macs, layer_cycles)
+        # The per-batch weight loads serve no state on an empty batch.
+        return x, _single_array_cost(
+            self.name, n, total_macs, layer_cycles if n else {}
+        )

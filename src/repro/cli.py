@@ -444,12 +444,8 @@ def _print_fleet_faults(report) -> None:
 
 def _print_fleet_projection(args, agent, scheduler, report, projection, np):
     from repro.backend import SystolicBackend
-    from repro.fleet.scheduler import per
 
     network = agent.network
-    inference, training = report.inference, report.training
-    both = inference + training
-    steps, updates = report.total_env_steps, report.total_train_updates
     print()
     print(
         f"fleet of {report.num_envs} envs @ {report.steps_per_second:.1f} "
@@ -457,7 +453,7 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         f"(batch {projection.batch_size})"
     )
     print(
-        f"platform ({projection.config_name}): {projection.accelerator_fps:.2f} "
+        f"platform ({report.config_name}): {projection.iteration.fps:.2f} "
         f"iterations/s sustainable, utilization {projection.utilization:.2f} "
         f"({'feasible' if projection.realtime_feasible else 'OVERLOADED'}), "
         f"{projection.energy_watts:.2f} W"
@@ -466,11 +462,11 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         f"NVM write load {projection.nvm_write_bits_per_second / 1e6:.2f} Mbit/s"
         f" -> endurance {projection.endurance.lifetime_years:.1f} years"
     )
-    if inference.total_cycles > 0:
+    if projection.inference_cycles_per_step > 0:
         print(
             f"backend '{report.backend}': "
-            f"{per(inference.total_cycles, steps) / 1e3:.1f} kcycles/env-step measured "
-            f"-> array sustains "
+            f"{projection.inference_cycles_per_step / 1e3:.1f} kcycles/env-step "
+            f"measured -> array sustains "
             f"{projection.inference_sustainable_steps_per_second:.0f} steps/s, "
             f"inference utilization {projection.inference_utilization:.4f} "
             f"({'feasible' if projection.inference_realtime_feasible else 'OVERLOADED'})"
@@ -486,10 +482,10 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
             f"{q_cost.total_cycles / 1e6:.2f} Mcycles "
             f"({q_cost.array_seconds() * 1e6:.0f} us on the paper array)"
         )
-    if training.total_cycles > 0:
+    if projection.training_cycles_per_update > 0:
         print(
             f"training on array: "
-            f"{per(training.total_cycles, updates) / 1e3:.1f} kcycles/update "
+            f"{projection.training_cycles_per_update / 1e3:.1f} kcycles/update "
             f"measured -> array sustains "
             f"{projection.training_sustainable_updates_per_second:.1f} updates/s; "
             f"combined rollout+train utilization "
@@ -500,7 +496,7 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         print(
             f"sharded over {report.shards} arrays "
             f"({args.shard_policy} policy): critical path "
-            f"{per(inference.critical_path_cycles, steps) / 1e3:.1f} "
+            f"{projection.critical_path_cycles_per_step / 1e3:.1f} "
             f"kcycles/env-step -> {report.shards}-array platform sustains "
             f"{projection.sharded_sustainable_steps_per_second:.0f} steps/s "
             f"(speedup {projection.sharding_speedup:.2f}x, scaling "
@@ -512,31 +508,33 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
             f"{sum(1 for r in report.rounds if r.shards > 1 and r.inference.critical_shard_index == report.critical_shard_index)}"
             f"/{sum(1 for r in report.rounds if r.shards > 1)} rounds"
         )
-        if both.merge_cycles > 0:
+        if projection.interconnect_cycles_per_step > 0:
             line = (
                 f"interconnect ({args.noc} NoC): "
-                f"{per(both.merge_cycles, steps) / 1e3:.2f} "
+                f"{projection.interconnect_cycles_per_step / 1e3:.2f} "
                 f"kcycles/env-step on inter-array links "
                 f"({projection.interconnect_fraction:.1%} of the "
                 f"critical path)"
             )
-            if both.fill_drain_cycles > 0:
+            if projection.fill_drain_cycles_per_step > 0:
                 line += (
                     f"; pipeline fill/drain "
-                    f"{per(both.fill_drain_cycles, steps) / 1e3:.2f} "
+                    f"{projection.fill_drain_cycles_per_step / 1e3:.2f} "
                     f"kcycles/env-step"
                 )
             print(line)
-        if training.total_cycles > 0:
+        if projection.training_cycles_per_update > 0:
             print(
                 f"concurrent rollout+train on {report.shards} arrays: "
                 f"training critical path "
-                f"{per(training.critical_path_cycles, updates) / 1e3:.1f} "
-                f"kcycles/update -> combined utilization "
+                f"{projection.training_critical_path_cycles_per_update / 1e3:.1f} "
+                f"kcycles/update ("
+                f"{projection.training_merge_cycles_per_update / 1e3:.2f} on "
+                f"inter-array links) -> combined utilization "
                 f"{projection.sharded_combined_utilization:.4f} "
                 f"({'feasible' if projection.sharded_combined_utilization <= 1.0 else 'OVERLOADED'})"
             )
-    if inference.total_cycles > 0 or (
+    if projection.inference_cycles_per_step > 0 or (
         args.sync_every > 1 and agent.backend.has_snapshot
     ):
         print(
@@ -588,13 +586,8 @@ def _finish_fleet_observability(args, report, projection, scheduler, tracer, reg
     """Timing breakdown + trace/metrics/json exports of a probed run."""
     import json
 
-    from repro.systolic.array import PAPER_ARRAY
-
-    array_config = (
-        getattr(scheduler.agent.backend, "config", None) or PAPER_ARRAY
-    )
     print()
-    print(_timing_breakdown(tracer, array_config))
+    print(_timing_breakdown(tracer, scheduler.agent.backend.config))
     if args.trace:
         tracer.export_chrome(args.trace)
         print(f"wrote {args.trace}")
@@ -644,9 +637,9 @@ def _finish_fleet_observability(args, report, projection, scheduler, tracer, reg
             "projection": None
             if projection is None
             else {
-                "config": projection.config_name,
+                "config": report.config_name,
                 "batch_size": projection.batch_size,
-                "accelerator_fps": projection.accelerator_fps,
+                "accelerator_fps": projection.iteration.fps,
                 "utilization": projection.utilization,
                 "realtime_feasible": projection.realtime_feasible,
                 "energy_watts": projection.energy_watts,

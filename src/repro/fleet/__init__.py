@@ -20,11 +20,14 @@ accelerator scales the compute side — by batching:
   (rollout chunks interleave with the training due between them, on a
   double-buffered weight snapshot, so a pipelined platform overlaps
   the two — the measured hidden fraction is reported) plus a greedy
-  evaluate phase, measures throughput (steps/sec, episodes/sec, SFD
-  per environment class) and projects the load onto the paper
-  platform's FPS / latency / energy / endurance model via
-  :func:`repro.perf.traffic.project_fleet_load` — including what K
-  sharded arrays sustain when the agent's backend shards.
+  evaluate phase and measures throughput (steps/sec, episodes/sec,
+  SFD per environment class) and the accelerator cost its backend
+  charged (``FleetReport.inference`` / ``.training`` ledgers).
+* :func:`project_fleet_load` projects a report onto the paper
+  platform's FPS / latency / energy / endurance model: the
+  :class:`FleetLoadProjection` is a view over the report's ledgers
+  plus the paper-scale iteration cost, so it also says what K sharded
+  arrays sustain when the agent's backend shards.
 
 ``python -m repro fleet`` exposes the scheduler from the shell;
 ``benchmarks/test_fleet_throughput.py`` proves the fleet beats the
@@ -33,7 +36,13 @@ sequential baseline by the required margin.
 
 from repro.fleet.vec_env import FleetRenderer, VecNavigationEnv
 from repro.fleet.runner import FleetTrainingResult, train_agent_fleet
-from repro.fleet.scheduler import FleetReport, FleetScheduler, RoundStats
+from repro.fleet.scheduler import (
+    FleetLoadProjection,
+    FleetReport,
+    FleetScheduler,
+    RoundStats,
+    project_fleet_load,
+)
 from repro.fleet.throughput import ThroughputComparison, compare_throughput
 
 __all__ = [
@@ -41,8 +50,10 @@ __all__ = [
     "VecNavigationEnv",
     "FleetTrainingResult",
     "train_agent_fleet",
+    "FleetLoadProjection",
     "FleetReport",
     "FleetScheduler",
+    "project_fleet_load",
     "RoundStats",
     "ThroughputComparison",
     "compare_throughput",

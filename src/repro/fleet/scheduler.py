@@ -29,11 +29,14 @@ the scheduler drains that second ledger per round too
 (``RoundStats.training``), so the projection can report the combined
 rollout+training utilization of the array(s).  ``FleetReport`` sums
 the round ledgers with ``+``.
-:meth:`FleetScheduler.project_load` feeds the measured rates *and*
-measured cycles into :func:`repro.perf.traffic.project_fleet_load`, so
-a simulated fleet's demand maps onto the paper platform's FPS /
-latency / energy / endurance model — the "heavy traffic" question made
-concrete, now including what K arrays sustain.
+:meth:`FleetScheduler.project_load` projects a report onto the paper
+platform: a :class:`FleetLoadProjection` is a view over the report —
+its measured rates and both ledgers — plus the paper-scale Fig. 13
+iteration cost, memory traffic and NVM endurance at the fleet's
+training batch, so a simulated fleet's demand maps onto the platform's
+FPS / latency / energy / endurance model, including what K arrays
+sustain.  It reads every cycle figure from the ledgers when asked, so
+a new ``StepCost`` field needs no new projection parameter.
 """
 
 from __future__ import annotations
@@ -47,20 +50,25 @@ from repro.backend import StepCost
 from repro.faults.injector import FAULTS
 from repro.fleet.runner import scaled_train_batch
 from repro.fleet.vec_env import VecNavigationEnv
+from repro.nn.alexnet import modified_alexnet_spec
 from repro.obs.probes import PROBE
 from repro.parallel.memo import publish_memo_metrics
+from repro.perf.training import IterationCost, TrainingIterationModel
 from repro.perf.traffic import (
-    FleetLoadProjection,
+    EnduranceEstimate,
+    IterationTraffic,
     TrafficSimulator,
-    project_fleet_load,
 )
 from repro.rl.agent import QLearningAgent
-from repro.systolic.array import PAPER_ARRAY
+from repro.rl.transfer import config_by_name
+from repro.systolic.array import PAPER_ARRAY, ArrayConfig
 
 __all__ = [
     "per",
     "RoundStats",
     "FleetReport",
+    "FleetLoadProjection",
+    "project_fleet_load",
     "FleetScheduler",
 ]
 
@@ -323,6 +331,283 @@ class FleetReport:
         return per(self.total_degraded_states, self.inference.states)
 
 
+def _sustained(count: int, seconds: float) -> float:
+    """``count / seconds``: the rate the modelled array sustains, or
+    ``inf`` when the ledger charged no time (nothing to bound)."""
+    return count / seconds if seconds > 0.0 else float("inf")
+
+
+@dataclass(frozen=True)
+class FleetLoadProjection:
+    """A measured fleet run projected onto the paper platform.
+
+    A view over the run's :class:`FleetReport` plus the paper-scale
+    platform cost at the fleet's training batch ``batch_size``:
+
+    * ``iteration`` — the Fig. 13 cost of one training iteration on the
+      calibrated modified-AlexNet model (``iteration.fps`` is the
+      iteration rate the platform sustains),
+    * ``traffic`` / ``endurance`` — the per-device memory traffic of
+      that iteration and the NVM lifetime under the measured update
+      rate.
+
+    Everything else is read from the report when asked: the measured
+    rates, and the inference and training ledgers
+    (``report.inference`` / ``report.training``), whose cycles
+    ``array`` converts to seconds.  From them come the step rate one
+    array sustains at the measured budget, what the K sharded arrays
+    sustain on the measured critical path (derated by the run's
+    availability), and whether the platform sustains *concurrent*
+    rollout + on-array training — on one array or on the K arrays.  A
+    rate is ``inf`` when its ledger charged nothing (the float path,
+    or training off-device).
+    """
+
+    report: FleetReport
+    batch_size: int
+    array: ArrayConfig
+    iteration: IterationCost
+    traffic: IterationTraffic
+    endurance: EnduranceEstimate
+
+    # --- the paper-scale platform at the fleet's training batch -------
+    @property
+    def utilization(self) -> float:
+        """Demanded iteration rate / sustainable iteration rate (> 1:
+        the fleet generates frames faster than the platform trains)."""
+        return self.report.train_iterations_per_second / self.iteration.fps
+
+    @property
+    def realtime_feasible(self) -> bool:
+        """Whether the platform keeps up with the fleet's demand."""
+        return self.utilization <= 1.0
+
+    @property
+    def energy_watts(self) -> float:
+        """Average power (J/s) of serving the demanded iteration rate."""
+        return (
+            self.iteration.iteration_energy_j
+            * self.report.train_iterations_per_second
+        )
+
+    @property
+    def bits_per_second(self) -> float:
+        """Total memory traffic demanded, bits/sec."""
+        return self.traffic.total_bits * self.report.train_iterations_per_second
+
+    @property
+    def nvm_write_bits_per_second(self) -> float:
+        """NVM write traffic demanded, bits/sec (the endurance driver)."""
+        return (
+            self.traffic.nvm_write_bits * self.report.train_iterations_per_second
+        )
+
+    # --- the ledgers per env step and per update ----------------------
+    @property
+    def inference_cycles_per_step(self) -> float:
+        """Inference work cycles per env step."""
+        return per(self.report.inference.total_cycles, self.report.total_env_steps)
+
+    @property
+    def critical_path_cycles_per_step(self) -> float:
+        """Inference critical-path (wall-clock) cycles per env step."""
+        return per(
+            self.report.inference.critical_path_cycles,
+            self.report.total_env_steps,
+        )
+
+    @property
+    def interconnect_cycles_per_step(self) -> float:
+        """Inference NoC cycles per env step (gathers, broadcasts,
+        pipeline hand-offs; 0 on one array)."""
+        return per(self.report.inference.merge_cycles, self.report.total_env_steps)
+
+    @property
+    def fill_drain_cycles_per_step(self) -> float:
+        """Inference pipeline fill/drain bubble cycles per env step."""
+        return per(
+            self.report.inference.fill_drain_cycles, self.report.total_env_steps
+        )
+
+    @property
+    def training_cycles_per_update(self) -> float:
+        """On-array training work cycles per update (0 off-device)."""
+        return per(
+            self.report.training.total_cycles, self.report.total_train_updates
+        )
+
+    @property
+    def training_critical_path_cycles_per_update(self) -> float:
+        """Training critical-path cycles per update."""
+        return per(
+            self.report.training.critical_path_cycles,
+            self.report.total_train_updates,
+        )
+
+    @property
+    def training_merge_cycles_per_update(self) -> float:
+        """Training NoC cycles per update (gradient reductions, dX
+        returns)."""
+        return per(
+            self.report.training.merge_cycles, self.report.total_train_updates
+        )
+
+    @property
+    def interconnect_fraction(self) -> float:
+        """NoC share of the inference critical path."""
+        inference = self.report.inference
+        return per(inference.merge_cycles, inference.critical_path_cycles)
+
+    # --- what the array(s) sustain -----------------------------------
+    @property
+    def inference_sustainable_steps_per_second(self) -> float:
+        """Env steps/sec one array sustains at the measured budget."""
+        return _sustained(
+            self.report.total_env_steps,
+            self.report.inference.array_seconds(self.array),
+        )
+
+    @property
+    def inference_utilization(self) -> float:
+        """Demanded step rate / sustainable inference step rate."""
+        return (
+            self.report.steps_per_second
+            / self.inference_sustainable_steps_per_second
+        )
+
+    @property
+    def inference_realtime_feasible(self) -> bool:
+        """Whether the array keeps up with the fleet's inference demand."""
+        return self.inference_utilization <= 1.0
+
+    @property
+    def sharded_sustainable_steps_per_second(self) -> float:
+        """Env steps/sec the K-array platform sustains on the measured
+        critical path — the wall-clock cycles of the parallel schedule,
+        so it reflects what sharding actually buys."""
+        return _sustained(
+            self.report.total_env_steps,
+            self.report.inference.critical_path_seconds(self.array),
+        )
+
+    @property
+    def sharded_utilization(self) -> float:
+        """Demanded step rate / K-array sustainable step rate."""
+        return (
+            self.report.steps_per_second
+            / self.sharded_sustainable_steps_per_second
+        )
+
+    @property
+    def available_sustainable_steps_per_second(self) -> float:
+        """K-array sustainable step rate, derated by availability.
+
+        What the platform sustains *on average* across a run in which
+        only ``report.availability`` of its arrays were alive — the
+        headline capacity number a fault-tolerance SLO compares
+        against.  ``inf`` stays ``inf`` (no measured bound is still no
+        bound, dead shards or not).
+        """
+        rate = self.sharded_sustainable_steps_per_second
+        if rate == float("inf"):
+            return rate
+        return rate * self.report.availability
+
+    @property
+    def training_sustainable_updates_per_second(self) -> float:
+        """Training updates/sec one array sustains at the measured cost."""
+        return _sustained(
+            self.report.total_train_updates,
+            self.report.training.array_seconds(self.array),
+        )
+
+    @property
+    def training_array_utilization(self) -> float:
+        """Demanded update rate / sustainable training update rate."""
+        return (
+            self.report.train_iterations_per_second
+            / self.training_sustainable_updates_per_second
+        )
+
+    @property
+    def combined_array_utilization(self) -> float:
+        """Single-array utilization of rollout inference *plus* training.
+
+        The datapath is time-shared: serving the fleet's forward passes
+        and executing its training updates both burn the same array's
+        cycles, so concurrent rollout + training is feasible while the
+        sum of the two utilizations stays under 1.
+        """
+        return self.inference_utilization + self.training_array_utilization
+
+    @property
+    def combined_realtime_feasible(self) -> bool:
+        """Whether one array sustains rollout and training concurrently."""
+        return self.combined_array_utilization <= 1.0
+
+    @property
+    def sharded_combined_utilization(self) -> float:
+        """K-array utilization of concurrent rollout + training, on the
+        measured critical paths of both schedules."""
+        return self.sharded_utilization + (
+            self.report.train_iterations_per_second
+            / _sustained(
+                self.report.total_train_updates,
+                self.report.training.critical_path_seconds(self.array),
+            )
+        )
+
+    @property
+    def sharding_speedup(self) -> float:
+        """Inference work cycles over critical-path cycles (<= K; 1.0
+        unsharded or unmeasured)."""
+        return self.report.inference.parallel_speedup
+
+    @property
+    def scaling_efficiency(self) -> float:
+        """Sharding speedup per array (1.0 = perfect scaling)."""
+        return self.report.inference.scaling_efficiency
+
+
+def project_fleet_load(
+    report: FleetReport, batch_size: int, array: ArrayConfig = PAPER_ARRAY
+) -> FleetLoadProjection:
+    """Project a fleet run onto the paper platform's cost model.
+
+    ``batch_size`` is the fleet's training batch (typically the agent
+    batch times the fleet width): the paper-scale model — modified
+    AlexNet under the run's transfer config — prices one iteration at
+    it (Fig. 13) and walks its memory traffic, and the NVM lifetime
+    follows at the run's measured update rate.  ``array`` converts the
+    ledgers' cycles to seconds.  Raises ``ValueError`` when the report
+    measured no training update: there is no load to project, and a
+    clamped rate would print a nonsense utilization and lifetime
+    instead of surfacing the problem.
+    """
+    if report.total_train_updates == 0:
+        raise ValueError(
+            "report measured zero training iterations; run more steps per "
+            f"round (the fleet needs train_batch = {batch_size} transitions "
+            "before it can train)"
+        )
+    simulator = TrafficSimulator(
+        modified_alexnet_spec(), config_by_name(report.config_name)
+    )
+    traffic = simulator.simulate_iteration(batch_size)
+    return FleetLoadProjection(
+        report=report,
+        batch_size=batch_size,
+        array=array,
+        iteration=TrainingIterationModel(simulator.cost_model).iteration_cost(
+            batch_size
+        ),
+        traffic=traffic,
+        endurance=simulator.endurance(
+            traffic, report.train_iterations_per_second
+        ),
+    )
+
+
 class FleetScheduler:
     """Drives rollout → train → evaluate rounds over a fleet.
 
@@ -387,13 +672,6 @@ class FleetScheduler:
         if self._states is None:
             self._states = self.vec_env.reset()
         return np.asarray(self._states, dtype=np.float64)
-
-    @property
-    def _array_config(self):
-        """Array geometry cycles are converted with: the backend's own
-        config when it models one (a custom SystolicBackend may run at a
-        different clock), the paper array otherwise."""
-        return getattr(self.agent.backend, "config", None) or PAPER_ARRAY
 
     # ------------------------------------------------------------------
     def _rollout(
@@ -682,58 +960,12 @@ class FleetScheduler:
             report.fault_events = FAULTS.injector.event_log()
         return report
 
-    def project_load(
-        self,
-        report: FleetReport,
-        simulator: TrafficSimulator | None = None,
-    ) -> FleetLoadProjection:
-        """Project the measured fleet load onto the accelerator model.
+    def project_load(self, report: FleetReport) -> FleetLoadProjection:
+        """Project the measured fleet load onto the paper platform.
 
-        Builds a paper-scale :class:`TrafficSimulator` for the agent's
-        transfer config unless one is supplied.  When the report's
-        backend charged cycles, the measured cycles-per-step budget is
-        threaded into the projection (``inference_cycles_per_step``),
-        so the platform's inference headroom comes from what the
-        datapath actually charged rather than an analytic estimate;
-        sharded backends additionally thread their array count and
-        measured critical-path budget, so the projection reports what
-        K arrays sustain and the scaling efficiency of the split.
-        Raises ``ValueError`` when the report measured no training
-        iterations — there is no load to project, and a clamped rate
-        would print a nonsense utilization/endurance instead of
-        surfacing the problem.
+        :func:`project_fleet_load` at this fleet's training batch, with
+        cycles converted at the backend's own array clock.
         """
-        steps, updates = report.total_env_steps, report.total_train_updates
-        if updates == 0:
-            raise ValueError(
-                "report measured zero training iterations; run more "
-                "steps per round (the fleet needs train_batch "
-                f"= {self.train_batch} transitions before it can train)"
-            )
-        if simulator is None:
-            from repro.nn.alexnet import modified_alexnet_spec
-
-            simulator = TrafficSimulator(modified_alexnet_spec(), self.agent.config)
-        inference, training = report.inference, report.training
-        both = inference + training
         return project_fleet_load(
-            simulator,
-            num_envs=self.vec_env.num_envs,
-            batch_size=self.train_batch,
-            steps_per_second=report.steps_per_second,
-            train_iterations_per_second=report.train_iterations_per_second,
-            inference_cycles_per_step=per(inference.total_cycles, steps),
-            array=self._array_config,
-            shards=report.shards,
-            critical_path_cycles_per_step=per(
-                inference.critical_path_cycles, steps
-            ),
-            training_cycles_per_update=per(training.total_cycles, updates),
-            training_critical_path_cycles_per_update=per(
-                training.critical_path_cycles, updates
-            ),
-            availability=report.availability,
-            degraded_fraction=report.degraded_fraction,
-            interconnect_cycles_per_step=per(both.merge_cycles, steps),
-            fill_drain_cycles_per_step=per(both.fill_drain_cycles, steps),
+            report, self.train_batch, self.agent.backend.config
         )

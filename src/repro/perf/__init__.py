@@ -36,8 +36,6 @@ from repro.perf.traffic import (
     TrafficSimulator,
     IterationTraffic,
     EnduranceEstimate,
-    FleetLoadProjection,
-    project_fleet_load,
 )
 from repro.perf.roofline import RooflineModel, RooflinePoint
 from repro.perf.timeline import Phase, IterationTimeline, build_timeline
@@ -63,8 +61,6 @@ __all__ = [
     "TrafficSimulator",
     "IterationTraffic",
     "EnduranceEstimate",
-    "FleetLoadProjection",
-    "project_fleet_load",
     "RooflineModel",
     "RooflinePoint",
     "Phase",

@@ -26,14 +26,11 @@ from repro.memory.devices import CameraDram, GlobalBuffer, SttMramStack
 from repro.nn.specs import FCSpec, NetworkSpec
 from repro.perf.layer_cost import LayerCostModel
 from repro.rl.transfer import TransferConfig
-from repro.systolic.array import ArrayConfig, PAPER_ARRAY
 
 __all__ = [
     "IterationTraffic",
     "TrafficSimulator",
     "EnduranceEstimate",
-    "FleetLoadProjection",
-    "project_fleet_load",
 ]
 
 SECONDS_PER_DAY = 86_400.0
@@ -194,315 +191,3 @@ class TrafficSimulator:
         writes_per_bit_per_iter = traffic.nvm_write_bits / footprint_bits
         per_day = writes_per_bit_per_iter * iterations_per_second * SECONDS_PER_DAY
         return EnduranceEstimate(per_day, endurance_cycles)
-
-
-@dataclass(frozen=True)
-class FleetLoadProjection:
-    """A measured fleet workload projected onto the accelerator model.
-
-    The fleet scheduler measures *simulated* throughput (env steps/sec
-    and training iterations/sec); this dataclass answers whether the
-    paper's platform could sustain that load, and at what cost:
-
-    * ``accelerator_fps`` — training iterations/sec the platform
-      sustains at the fleet's batch size (Fig. 13a model),
-    * ``utilization`` — demanded over sustainable iteration rate
-      (> 1 means the fleet generates frames faster than the platform
-      can train on them),
-    * ``energy_watts`` — average power of serving the demanded rate,
-    * ``traffic`` / ``bits_per_second`` / ``endurance`` — per-device
-      memory traffic of the load and the NVM lifetime under it,
-    * ``inference_cycles_per_step`` / ``inference_step_latency_s`` —
-      the *measured* per-env-step cycle budget an execution backend
-      charged during the fleet run (zero when rollouts ran on the
-      uncosted float path); from it, the inference rate the array
-      sustains and the fleet's utilization of it,
-    * ``shards`` / ``critical_path_cycles_per_step`` — when the backend
-      executed on K arrays, the measured wall-clock (critical-path)
-      cycle budget per env step; from it, the step rate the K-array
-      platform sustains and the scaling efficiency of the split,
-    * ``training_cycles_per_update`` — the measured array cycles one
-      on-array training update charged (``fleet --train-on-array``;
-      zero when training stays off-device); from it the update rate the
-      array sustains and, combined with the inference budget, whether
-      the platform sustains *concurrent* rollout + training — on one
-      array (``combined_array_utilization``) or on the K sharded arrays
-      (``sharded_combined_utilization``, from the training critical
-      path).
-    """
-
-    config_name: str
-    num_envs: int
-    batch_size: int
-    steps_per_second: float
-    train_iterations_per_second: float
-    accelerator_iteration_latency_s: float
-    accelerator_fps: float
-    iteration_energy_j: float
-    traffic: IterationTraffic
-    endurance: EnduranceEstimate
-    inference_cycles_per_step: float = 0.0
-    inference_step_latency_s: float = 0.0
-    shards: int = 1
-    critical_path_cycles_per_step: float = 0.0
-    critical_path_step_latency_s: float = 0.0
-    training_cycles_per_update: float = 0.0
-    training_update_latency_s: float = 0.0
-    training_critical_path_cycles_per_update: float = 0.0
-    training_critical_path_latency_s: float = 0.0
-    #: Mean fraction of configured arrays alive during the measured run
-    #: (1.0 unless a chaos run killed shards).
-    availability: float = 1.0
-    #: Fraction of served states that fell back to the degraded float
-    #: path (0.0 unless a chaos run lost every array).
-    degraded_fraction: float = 0.0
-    #: Measured inter-array NoC cycles per env step (gathers,
-    #: broadcasts, pipeline hand-offs, gradient reductions; 0 when the
-    #: backend runs on one array).
-    interconnect_cycles_per_step: float = 0.0
-    #: Measured pipeline fill/drain bubble cycles per env step (0
-    #: unless the backend runs the pipeline shard policy).
-    fill_drain_cycles_per_step: float = 0.0
-
-    @property
-    def interconnect_fraction(self) -> float:
-        """NoC share of the sharded wall-clock budget per env step."""
-        if self.critical_path_cycles_per_step <= 0.0:
-            return 0.0
-        return self.interconnect_cycles_per_step / self.critical_path_cycles_per_step
-
-    @property
-    def utilization(self) -> float:
-        """Demanded iteration rate / sustainable iteration rate."""
-        if self.accelerator_fps <= 0.0:
-            return float("inf")
-        return self.train_iterations_per_second / self.accelerator_fps
-
-    @property
-    def realtime_feasible(self) -> bool:
-        """Whether the platform keeps up with the fleet's demand."""
-        return self.utilization <= 1.0
-
-    @property
-    def energy_watts(self) -> float:
-        """Average power (J/s) of serving the demanded iteration rate."""
-        return self.iteration_energy_j * self.train_iterations_per_second
-
-    @property
-    def bits_per_second(self) -> float:
-        """Total memory traffic demanded, bits/sec."""
-        return self.traffic.total_bits * self.train_iterations_per_second
-
-    @property
-    def nvm_write_bits_per_second(self) -> float:
-        """NVM write traffic demanded, bits/sec (the endurance driver)."""
-        return self.traffic.nvm_write_bits * self.train_iterations_per_second
-
-    @property
-    def inference_sustainable_steps_per_second(self) -> float:
-        """Env steps/sec the array sustains at the measured cycle budget.
-
-        ``inf`` when no backend cycles were measured (nothing to bound).
-        """
-        if self.inference_step_latency_s <= 0.0:
-            return float("inf")
-        return 1.0 / self.inference_step_latency_s
-
-    @property
-    def inference_utilization(self) -> float:
-        """Demanded step rate / sustainable inference step rate."""
-        return self.steps_per_second * self.inference_step_latency_s
-
-    @property
-    def inference_realtime_feasible(self) -> bool:
-        """Whether the array keeps up with the fleet's inference demand."""
-        return self.inference_utilization <= 1.0
-
-    @property
-    def sharded_sustainable_steps_per_second(self) -> float:
-        """Env steps/sec the K-array platform sustains.
-
-        Uses the measured critical-path budget — the wall-clock cycles
-        of the parallel schedule — so it reflects what sharding
-        actually buys.  ``inf`` when no critical path was measured.
-        """
-        if self.critical_path_step_latency_s <= 0.0:
-            return float("inf")
-        return 1.0 / self.critical_path_step_latency_s
-
-    @property
-    def sharded_utilization(self) -> float:
-        """Demanded step rate / K-array sustainable step rate."""
-        return self.steps_per_second * self.critical_path_step_latency_s
-
-    @property
-    def available_sustainable_steps_per_second(self) -> float:
-        """K-array sustainable step rate, derated by availability.
-
-        What the platform sustains *on average* across a run in which
-        only ``availability`` of its arrays were alive — the headline
-        capacity number a fault-tolerance SLO compares against.  Equals
-        the sharded rate for a fault-free run; ``inf`` stays ``inf``
-        (no measured bound is still no bound, dead shards or not).
-        """
-        rate = self.sharded_sustainable_steps_per_second
-        if rate == float("inf"):
-            return rate
-        return rate * self.availability
-
-    @property
-    def training_sustainable_updates_per_second(self) -> float:
-        """Training updates/sec the array sustains at the measured cost.
-
-        ``inf`` when training charged no cycles (off-device training).
-        """
-        if self.training_update_latency_s <= 0.0:
-            return float("inf")
-        return 1.0 / self.training_update_latency_s
-
-    @property
-    def training_array_utilization(self) -> float:
-        """Demanded update rate x measured per-update array time."""
-        return self.train_iterations_per_second * self.training_update_latency_s
-
-    @property
-    def combined_array_utilization(self) -> float:
-        """Single-array utilization of rollout inference *plus* training.
-
-        The datapath is time-shared: serving the fleet's forward passes
-        and executing its training updates both burn the same array's
-        cycles, so feasibility of concurrent rollout + training is the
-        sum of the two utilizations staying under 1.
-        """
-        return self.inference_utilization + self.training_array_utilization
-
-    @property
-    def combined_realtime_feasible(self) -> bool:
-        """Whether one array sustains rollout and training concurrently."""
-        return self.combined_array_utilization <= 1.0
-
-    @property
-    def sharded_combined_utilization(self) -> float:
-        """K-array utilization of concurrent rollout + training.
-
-        Uses the measured critical paths of both schedules — what the
-        K arrays actually spend wall-clock cycles on.
-        """
-        return (
-            self.sharded_utilization
-            + self.train_iterations_per_second
-            * self.training_critical_path_latency_s
-        )
-
-    @property
-    def sharding_speedup(self) -> float:
-        """Single-array-equivalent work cycles over critical-path cycles.
-
-        How much faster the K-array schedule serves a step than one
-        array burning the same work serially (<= ``shards``; the gap is
-        merge traffic plus replicated FC tile loads).  1.0 when
-        unsharded or unmeasured.
-        """
-        if self.critical_path_cycles_per_step <= 0.0:
-            return 1.0
-        return self.inference_cycles_per_step / self.critical_path_cycles_per_step
-
-    @property
-    def scaling_efficiency(self) -> float:
-        """Sharding speedup per array (1.0 = perfect scaling)."""
-        return self.sharding_speedup / self.shards if self.shards else 0.0
-
-
-def project_fleet_load(
-    simulator: TrafficSimulator,
-    num_envs: int,
-    batch_size: int,
-    steps_per_second: float,
-    train_iterations_per_second: float,
-    endurance_cycles: float = 1e12,
-    inference_cycles_per_step: float = 0.0,
-    array: ArrayConfig = PAPER_ARRAY,
-    shards: int = 1,
-    critical_path_cycles_per_step: float = 0.0,
-    training_cycles_per_update: float = 0.0,
-    training_critical_path_cycles_per_update: float = 0.0,
-    availability: float = 1.0,
-    degraded_fraction: float = 0.0,
-    interconnect_cycles_per_step: float = 0.0,
-    fill_drain_cycles_per_step: float = 0.0,
-) -> FleetLoadProjection:
-    """Map a measured fleet workload onto the accelerator's cost model.
-
-    ``batch_size`` is the fleet's training batch (typically the agent
-    batch times the fleet width); ``steps_per_second`` and
-    ``train_iterations_per_second`` come from the scheduler's measured
-    rounds.  ``inference_cycles_per_step`` is the average array-cycle
-    budget the fleet's execution backend charged per env step (0 when
-    rollouts ran on the uncosted float path); ``array`` converts it to
-    latency.  ``shards`` and ``critical_path_cycles_per_step`` carry a
-    sharded backend's array count and measured wall-clock budget, from
-    which the K-array sustainable step rate and scaling efficiency
-    derive.  ``training_cycles_per_update`` (and its critical-path
-    counterpart for sharded training) carries the measured on-array cost
-    of one training update, from which the combined rollout+training
-    utilizations derive.  ``availability`` and ``degraded_fraction``
-    carry a chaos run's fault-tolerance outcomes (fraction of arrays
-    alive, fraction of states served by the degraded float fallback),
-    from which the availability-derated sustainable step rate derives.
-    Combines the Fig. 13 iteration-cost model with the traffic
-    simulator's per-device bit counts and the NVM endurance estimate.
-    """
-    if num_envs <= 0:
-        raise ValueError("num_envs must be positive")
-    if steps_per_second <= 0 or train_iterations_per_second <= 0:
-        raise ValueError("rates must be positive")
-    if inference_cycles_per_step < 0:
-        raise ValueError("inference_cycles_per_step cannot be negative")
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    if critical_path_cycles_per_step < 0:
-        raise ValueError("critical_path_cycles_per_step cannot be negative")
-    if training_cycles_per_update < 0 or training_critical_path_cycles_per_update < 0:
-        raise ValueError("training cycle budgets cannot be negative")
-    if not 0.0 <= availability <= 1.0:
-        raise ValueError("availability must be a fraction in [0, 1]")
-    if not 0.0 <= degraded_fraction <= 1.0:
-        raise ValueError("degraded_fraction must be a fraction in [0, 1]")
-    if interconnect_cycles_per_step < 0 or fill_drain_cycles_per_step < 0:
-        raise ValueError("interconnect cycle budgets cannot be negative")
-    from repro.perf.training import TrainingIterationModel
-
-    cost = TrainingIterationModel(simulator.cost_model).iteration_cost(batch_size)
-    traffic = simulator.simulate_iteration(batch_size)
-    endurance = simulator.endurance(
-        traffic, train_iterations_per_second, endurance_cycles=endurance_cycles
-    )
-    return FleetLoadProjection(
-        config_name=simulator.config.name,
-        num_envs=num_envs,
-        batch_size=batch_size,
-        steps_per_second=steps_per_second,
-        train_iterations_per_second=train_iterations_per_second,
-        accelerator_iteration_latency_s=cost.iteration_latency_s,
-        accelerator_fps=cost.fps,
-        iteration_energy_j=cost.iteration_energy_j,
-        traffic=traffic,
-        endurance=endurance,
-        inference_cycles_per_step=inference_cycles_per_step,
-        inference_step_latency_s=array.seconds(inference_cycles_per_step),
-        shards=shards,
-        critical_path_cycles_per_step=critical_path_cycles_per_step,
-        critical_path_step_latency_s=array.seconds(critical_path_cycles_per_step),
-        training_cycles_per_update=training_cycles_per_update,
-        training_update_latency_s=array.seconds(training_cycles_per_update),
-        training_critical_path_cycles_per_update=(
-            training_critical_path_cycles_per_update
-        ),
-        training_critical_path_latency_s=array.seconds(
-            training_critical_path_cycles_per_update
-        ),
-        availability=availability,
-        degraded_fraction=degraded_fraction,
-        interconnect_cycles_per_step=interconnect_cycles_per_step,
-        fill_drain_cycles_per_step=fill_drain_cycles_per_step,
-    )

@@ -37,3 +37,34 @@ def rng():
 def platform():
     """The paper's hardware platform."""
     return paper_platform()
+
+
+@pytest.fixture(scope="session")
+def fleet_report():
+    """Factory of one-round, one-second fleet reports (16 envs, L4)
+    whose round carries hand-made cost ledgers, so a projection's
+    rates are exact: ``fleet_report(inference=StepCost(...))`` runs
+    2000 env steps and 15 updates per second by default."""
+    from repro.backend import StepCost
+    from repro.fleet import FleetReport, RoundStats
+
+    def build(
+        inference: StepCost = StepCost(),
+        training: StepCost = StepCost(),
+        *,
+        steps: int = 2000,
+        updates: int = 15,
+        dead_shards: int = 0,
+        degraded_states: int = 0,
+    ) -> FleetReport:
+        stats = RoundStats(
+            round_index=0, env_steps=steps, episodes=0,
+            train_updates=updates, rollout_seconds=1.0, train_seconds=0.0,
+            eval_seconds=0.0, mean_loss=0.0, eval_sfd_by_class={},
+            inference=inference, training=training,
+            degraded_states=degraded_states,
+            active_shards=max(inference.shards, training.shards) - dead_shards,
+        )
+        return FleetReport(num_envs=16, config_name="L4", rounds=[stats])
+
+    return build

@@ -667,46 +667,36 @@ class TestFleetChaosRun:
 
 
 class TestTrafficFaultFields:
-    def test_projection_carries_and_derates(self):
-        from repro.nn import modified_alexnet_spec
-        from repro.perf import TrafficSimulator, project_fleet_load
+    def test_projection_carries_and_derates(self, fleet_report):
+        from repro.backend import StepCost
+        from repro.fleet import project_fleet_load
 
-        sim = TrafficSimulator(modified_alexnet_spec(), config_by_name("L4"))
-        proj = project_fleet_load(
-            sim, num_envs=4, batch_size=16, steps_per_second=100.0,
-            train_iterations_per_second=1.0,
-            critical_path_cycles_per_step=10_000.0,
-            availability=0.75, degraded_fraction=0.1,
+        measured = StepCost(
+            states=1000, layer_cycles={"FC1": 40_000 * 100}, shards=4,
+            critical_path_cycles=10_000 * 100,
         )
-        assert proj.availability == 0.75
-        assert proj.degraded_fraction == 0.1
+        proj = project_fleet_load(
+            fleet_report(
+                measured, steps=100, updates=1, dead_shards=1,
+                degraded_states=100,
+            ),
+            batch_size=16,
+        )
+        assert proj.report.availability == 0.75
+        assert proj.report.degraded_fraction == 0.1
+        assert proj.sharded_sustainable_steps_per_second == pytest.approx(1e5)
         assert proj.available_sustainable_steps_per_second == pytest.approx(
             proj.sharded_sustainable_steps_per_second * 0.75
         )
         # Unmeasured bound stays unbounded, availability or not.
         unmeasured = project_fleet_load(
-            sim, num_envs=4, batch_size=16, steps_per_second=100.0,
-            train_iterations_per_second=1.0, availability=0.5,
+            fleet_report(StepCost(shards=2), updates=1, dead_shards=1),
+            batch_size=16,
         )
+        assert unmeasured.report.availability == 0.5
         assert unmeasured.available_sustainable_steps_per_second == float(
             "inf"
         )
-
-    @pytest.mark.parametrize("kwargs", [
-        {"availability": 1.5},
-        {"availability": -0.1},
-        {"degraded_fraction": 2.0},
-    ])
-    def test_fractions_validated(self, kwargs):
-        from repro.nn import modified_alexnet_spec
-        from repro.perf import TrafficSimulator, project_fleet_load
-
-        sim = TrafficSimulator(modified_alexnet_spec(), config_by_name("L4"))
-        with pytest.raises(ValueError, match="fraction"):
-            project_fleet_load(
-                sim, num_envs=4, batch_size=16, steps_per_second=100.0,
-                train_iterations_per_second=1.0, **kwargs,
-            )
 
 
 class TestCLIValidation:

@@ -1,5 +1,5 @@
-"""Fleet scheduler, fleet training runner, and the perf.traffic
-projection of measured fleet load."""
+"""Fleet scheduler, fleet training runner, and the platform projection
+of measured fleet load."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,10 @@ from repro.cli import main
 from repro.fleet import (
     FleetScheduler,
     VecNavigationEnv,
+    project_fleet_load,
     train_agent_fleet,
 )
-from repro.nn import modified_alexnet_spec
 from repro.nn.alexnet import build_network, scaled_drone_net_spec
-from repro.perf import TrafficSimulator, project_fleet_load
 from repro.rl import config_by_name, online_adapt, meta_train
 from repro.rl.agent import EpsilonSchedule, QLearningAgent
 
@@ -283,8 +282,8 @@ class TestFleetScheduler:
         )
         projection = scheduler.project_load(report)
         assert projection.training_cycles_per_update == pytest.approx(per_update)
-        assert projection.training_update_latency_s == pytest.approx(
-            per_update / 1e9
+        assert projection.training_sustainable_updates_per_second == (
+            pytest.approx(1e9 / per_update)
         )
         assert (
             projection.training_sustainable_updates_per_second < float("inf")
@@ -347,16 +346,48 @@ class TestFleetScheduler:
             projection.sharded_utilization
         )
 
+    def test_sharded_training_interconnect_is_an_inference_share(self):
+        """Under layer sharding with on-array training, the interconnect
+        share of the critical path reads the inference ledger alone:
+        training's gradient reductions are charged per update, not
+        folded into the per-env-step merge."""
+        from repro.backend import ShardedBackend
+
+        network = build_network(scaled_drone_net_spec(input_side=SIDE), seed=0)
+        agent = QLearningAgent(
+            network,
+            config=config_by_name("L4"),
+            epsilon=EpsilonSchedule(1.0, 0.1, 200),
+            seed=0,
+            batch_size=4,
+            backend=ShardedBackend(network, shards=4, shard="layer", noc="ring"),
+            train_on_array=True,
+        )
+        scheduler = FleetScheduler(agent, make_fleet(4), train_every=2)
+        report = scheduler.run(rounds=1, steps_per_round=30)
+        inference, training = report.inference, report.training
+        assert training.merge_cycles > 0
+        projection = scheduler.project_load(report)
+        assert projection.interconnect_fraction == (
+            inference.merge_cycles / inference.critical_path_cycles
+        )
+        assert projection.interconnect_cycles_per_step == (
+            inference.merge_cycles / report.total_env_steps
+        )
+        assert projection.training_merge_cycles_per_update == (
+            training.merge_cycles / report.total_train_updates
+        )
+
     def test_project_load_builds_projection(self):
         agent = make_agent(config="E2E")
         vec_env = make_fleet(4)
         scheduler = FleetScheduler(agent, vec_env, train_every=2)
         report = scheduler.run(rounds=1, steps_per_round=20)
         projection = scheduler.project_load(report)
-        assert projection.config_name == "E2E"
-        assert projection.num_envs == 4
+        assert projection.report is report
         assert projection.batch_size == agent.batch_size * 4
-        assert projection.accelerator_fps > 0
+        assert projection.iteration.config_name == "E2E"
+        assert projection.iteration.fps > 0
         assert projection.utilization > 0
         assert projection.traffic.total_bits > 0
         # E2E writes frozen weights back to NVM every update.
@@ -397,94 +428,66 @@ class TestObservationCosting:
         assert not hasattr(scheduler_module, "FleetObservationCost")
 
 
+def sharded_cost(cycles: int, critical: int, shards: int = 4, **kw) -> StepCost:
+    """A hand-made ledger: ``cycles`` of work on ``shards`` arrays whose
+    schedule took ``critical`` wall-clock cycles."""
+    return StepCost(
+        layer_cycles={"FC1": cycles}, shards=shards,
+        critical_path_cycles=critical, **kw,
+    )
+
+
 class TestProjectFleetLoad:
-    def test_rates_and_validation(self):
-        sim = TrafficSimulator(modified_alexnet_spec(), config_by_name("L4"))
-        projection = project_fleet_load(
-            sim,
-            num_envs=16,
-            batch_size=128,
-            steps_per_second=2000.0,
-            train_iterations_per_second=15.0,
-        )
+    def test_rates_and_validation(self, fleet_report):
+        projection = project_fleet_load(fleet_report(), batch_size=128)
+        assert projection.report.steps_per_second == 2000.0
         assert projection.bits_per_second == (
             projection.traffic.total_bits * 15.0
         )
-        assert projection.realtime_feasible == (projection.utilization <= 1.0)
-        with pytest.raises(ValueError):
-            project_fleet_load(
-                sim, num_envs=0, batch_size=8,
-                steps_per_second=1.0, train_iterations_per_second=1.0,
-            )
-        with pytest.raises(ValueError):
-            project_fleet_load(
-                sim, num_envs=1, batch_size=8,
-                steps_per_second=0.0, train_iterations_per_second=1.0,
-            )
-
-    def test_sharded_fields_project_k_array_rates(self):
-        sim = TrafficSimulator(modified_alexnet_spec(), config_by_name("L4"))
-        projection = project_fleet_load(
-            sim,
-            num_envs=16,
-            batch_size=128,
-            steps_per_second=2000.0,
-            train_iterations_per_second=15.0,
-            inference_cycles_per_step=36000.0,
-            shards=4,
-            critical_path_cycles_per_step=9500.0,
+        assert projection.utilization == pytest.approx(
+            15.0 / projection.iteration.fps
         )
-        assert projection.shards == 4
-        assert projection.critical_path_step_latency_s == pytest.approx(9.5e-6)
+        assert projection.realtime_feasible == (projection.utilization <= 1.0)
+        assert projection.energy_watts == pytest.approx(
+            projection.iteration.iteration_energy_j * 15.0
+        )
+        with pytest.raises(ValueError, match="zero training iterations"):
+            project_fleet_load(fleet_report(updates=0), batch_size=8)
+
+    def test_sharded_fields_project_k_array_rates(self, fleet_report):
+        report = fleet_report(sharded_cost(36_000 * 2000, 9_500 * 2000))
+        projection = project_fleet_load(report, batch_size=128)
+        assert report.shards == 4
+        assert projection.inference_cycles_per_step == 36_000.0
+        assert projection.critical_path_cycles_per_step == 9_500.0
         assert projection.sharded_sustainable_steps_per_second == pytest.approx(
             1.0 / 9.5e-6
+        )
+        assert projection.inference_sustainable_steps_per_second == (
+            pytest.approx(1.0 / 3.6e-5)
         )
         assert projection.sharding_speedup == pytest.approx(36000.0 / 9500.0)
         assert projection.scaling_efficiency == pytest.approx(
             36000.0 / 9500.0 / 4
         )
         assert projection.sharded_utilization == pytest.approx(2000.0 * 9.5e-6)
-        # Unsharded projections expose the single-array view.
-        plain = project_fleet_load(
-            sim, num_envs=16, batch_size=128,
-            steps_per_second=2000.0, train_iterations_per_second=15.0,
-        )
-        assert plain.shards == 1
+        # Unsharded, unmeasured projections expose the single-array view.
+        plain = project_fleet_load(fleet_report(), batch_size=128)
+        assert plain.report.shards == 1
         assert plain.sharding_speedup == 1.0
+        assert plain.scaling_efficiency == 1.0
         assert plain.sharded_sustainable_steps_per_second == float("inf")
-        with pytest.raises(ValueError):
-            project_fleet_load(
-                sim, num_envs=16, batch_size=128, steps_per_second=2000.0,
-                train_iterations_per_second=15.0, shards=0,
-            )
-        with pytest.raises(ValueError):
-            project_fleet_load(
-                sim, num_envs=16, batch_size=128, steps_per_second=2000.0,
-                train_iterations_per_second=15.0,
-                critical_path_cycles_per_step=-1.0,
-            )
-        with pytest.raises(ValueError):
-            project_fleet_load(
-                sim, num_envs=16, batch_size=128, steps_per_second=2000.0,
-                train_iterations_per_second=15.0,
-                training_cycles_per_update=-1.0,
-            )
+        assert plain.inference_sustainable_steps_per_second == float("inf")
+        assert plain.inference_utilization == 0.0
 
-    def test_training_fields_derive_combined_utilization(self):
-        sim = TrafficSimulator(modified_alexnet_spec(), config_by_name("L4"))
-        projection = project_fleet_load(
-            sim,
-            num_envs=16,
-            batch_size=128,
-            steps_per_second=2000.0,
-            train_iterations_per_second=15.0,
-            inference_cycles_per_step=36000.0,
-            training_cycles_per_update=2_000_000.0,
-            shards=4,
-            critical_path_cycles_per_step=9500.0,
-            training_critical_path_cycles_per_update=600_000.0,
+    def test_training_fields_derive_combined_utilization(self, fleet_report):
+        report = fleet_report(
+            sharded_cost(36_000 * 2000, 9_500 * 2000),
+            sharded_cost(2_000_000 * 15, 600_000 * 15),
         )
-        assert projection.training_update_latency_s == pytest.approx(2e-3)
+        projection = project_fleet_load(report, batch_size=128)
+        assert projection.training_cycles_per_update == 2_000_000.0
+        assert projection.training_critical_path_cycles_per_update == 600_000.0
         assert projection.training_sustainable_updates_per_second == (
             pytest.approx(500.0)
         )
@@ -500,6 +503,30 @@ class TestProjectFleetLoad:
         assert projection.sharded_combined_utilization == pytest.approx(
             2000.0 * 9.5e-6 + 15.0 * 6e-4
         )
+        # Off-device training leaves the training side unbounded.
+        off = project_fleet_load(
+            fleet_report(sharded_cost(36_000 * 2000, 9_500 * 2000)),
+            batch_size=128,
+        )
+        assert off.training_sustainable_updates_per_second == float("inf")
+        assert off.combined_array_utilization == pytest.approx(2000.0 * 3.6e-5)
+
+    def test_interconnect_reads_each_ledger_on_its_own(self, fleet_report):
+        """Inference merge and fill/drain are shares of the inference
+        critical path per env step; training's gradient traffic is
+        reported per update and never mixed into them."""
+        report = fleet_report(
+            sharded_cost(
+                36_000 * 2000, 9_500 * 2000,
+                merge_cycles=950 * 2000, fill_drain_cycles=400 * 2000,
+            ),
+            sharded_cost(2_000_000 * 15, 600_000 * 15, merge_cycles=80_000 * 15),
+        )
+        projection = project_fleet_load(report, batch_size=128)
+        assert projection.interconnect_cycles_per_step == 950.0
+        assert projection.fill_drain_cycles_per_step == 400.0
+        assert projection.interconnect_fraction == pytest.approx(0.1)
+        assert projection.training_merge_cycles_per_update == 80_000.0
 
 
 class TestExperimentFleetPath:
