@@ -12,9 +12,10 @@ Run:  python examples/quantization_study.py
 import numpy as np
 
 from repro.analysis import format_table
+from repro.backend import QuantizedBackend
 from repro.env import DepthCamera, NavigationEnv, make_environment
-from repro.fixedpoint import QFormat
-from repro.nn import QuantizedNetwork, build_network, scaled_drone_net_spec
+from repro.fixedpoint import QFormat, quantization_stats
+from repro.nn import build_network, scaled_drone_net_spec
 from repro.rl import meta_train
 
 
@@ -45,11 +46,12 @@ def main() -> None:
         ("Q2.9 (12-bit)", QFormat(2, 9)),
         ("Q2.13 (16-bit, platform)", QFormat(2, 13)),
     ]
+    weights = np.concatenate([p.value.ravel() for p in network.parameters()])
     rows = []
     for label, fmt in formats:
-        qnet = QuantizedNetwork(network, weight_format=fmt)
-        stats = qnet.weight_error_stats()
-        agreement = qnet.agreement_rate(states)
+        stats = quantization_stats(weights, fmt)
+        backend = QuantizedBackend(network, weight_format=fmt)
+        agreement = backend.agreement_rate(states)
         rows.append(
             [
                 label,

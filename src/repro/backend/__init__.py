@@ -9,11 +9,13 @@ post-hoc batch costing.  Four registered implementations:
 * ``numpy`` — :class:`NumpyBackend`, the float path, zero overhead and
   zero cycle budget (the default; bitwise-identical to the historical
   agent behaviour);
-* ``quantized`` — :class:`QuantizedBackend`, 16-bit fixed-point
-  numerics with per-layer re-quantisation, no cycle model;
+* ``quantized`` — :class:`QuantizedBackend`, the 16-bit fixed-point
+  datapath's numerics (Q2.13 weights, Q8.8 activations re-quantised
+  after every layer) with no cycle model;
 * ``systolic`` — :class:`SystolicBackend`, the accelerator-in-the-loop
-  path: integer GEMM numerics on quantized raw codes through the shared
-  systolic kernels plus closed-form per-step cycle budgets;
+  path: the same datapath — one quantised serving buffer, GEMMs on
+  fixed-point values through the shared systolic kernels — plus
+  closed-form per-step cycle budgets;
 * ``sharded`` — :class:`ShardedBackend`, K systolic arrays priced over
   one datapath (``shard="sample"`` splits the batch, ``shard="layer"``
   splits conv filters / FC output neurons, ``shard="pipeline"`` stages
@@ -41,8 +43,7 @@ from repro.backend.base import (
     register_backend,
 )
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.quantized_backend import QuantizedBackend
-from repro.backend.systolic_backend import SystolicBackend
+from repro.backend.systolic_backend import QuantizedBackend, SystolicBackend
 from repro.backend.sharded import SHARD_POLICIES, ShardedBackend, ShardPlan
 
 __all__ = [

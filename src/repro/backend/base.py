@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.faults.injector import FAULTS
 from repro.faults.recovery import buffer_checksum
+from repro.fixedpoint.qformat import QFormat
 from repro.nn.network import Network
 from repro.obs.probes import PROBE
 from repro.systolic.array import ArrayConfig, PAPER_ARRAY
@@ -418,8 +419,7 @@ class WeightBus:
         slot = int(np.searchsorted(ends, word, side="right"))
         name = names[slot]
         index = word - (int(ends[slot - 1]) if slot else 0)
-        fmt = getattr(self.backend, "weight_format", None)
-        bits = fmt.total_bits if fmt is not None else 16
+        bits = self.backend.weight_format.total_bits
         return name, index, int(rng.integers(bits))
 
     def note_serve(self, states: int = 1) -> None:
@@ -462,6 +462,14 @@ class ExecutionBackend:
     #: backend without a hardware model charges none; its zero cycles
     #: convert at the paper array's clock).
     config: ArrayConfig = PAPER_ARRAY
+
+    #: The fixed-point formats of the serving weights and of the
+    #: activations between layers (``None`` on the float path).  The
+    #: fault layer draws bit flips over the weight format's width, and
+    #: the agent's Q-value guard checks served Q values against the
+    #: activation format's saturation rails.
+    weight_format: QFormat | None = None
+    activation_format: QFormat | None = None
 
     def forward_batch(self, states: np.ndarray) -> tuple[np.ndarray, StepCost]:
         """Q values and accelerator cost for an (N, C, H, W) state batch."""
@@ -533,7 +541,6 @@ class ExecutionBackend:
             return
         for name, arr in saved.items():
             buffers[name][...] = arr
-        self._refresh_weight_values()
 
     def corrupt_weight_bit(self, name: str, index: int, bit: int) -> None:
         """Flip one stored bit of serving buffer ``name`` (fault model).
@@ -541,9 +548,6 @@ class ExecutionBackend:
         No-op by default: backends without a serving snapshot have no
         stored codes to upset.
         """
-
-    def _refresh_weight_values(self) -> None:
-        """Rebuild any state derived from the raw serving buffers."""
 
     def greedy_actions(self, states: np.ndarray) -> tuple[np.ndarray, StepCost]:
         """Argmax actions (N,) for a state batch, with the step cost."""

@@ -33,13 +33,12 @@ arrays:
   activations cross arrays — so it keeps scaling where the layer
   policy's per-layer all-gather collapses.
 
-Every plan is **bitwise-equal** to the single-array path when
-``quantized=True`` (the default): every sample's and every output
-channel's arithmetic is the exact same integer datapath — splitting a
-batch or slicing an output dimension removes no term and reorders no
-per-element sum — and the re-quantisation between layers is
-elementwise, so it commutes with the concatenation that merges shard
-outputs.
+Every plan is **bitwise-equal** to the single-array path: every
+sample's and every output channel's arithmetic is the exact same
+fixed-point datapath — splitting a batch or slicing an output
+dimension removes no term and every partial sum is exact — and the
+re-quantisation between layers is elementwise, so it commutes with the
+concatenation that merges shard outputs.
 
 **Plan, then price.**  Because the numerics cannot tell the schedules
 apart, nothing re-executes the batch chunk by chunk, stage by stage or
@@ -376,7 +375,7 @@ class ShardedBackend(ExecutionBackend):
         The plan constructor (:data:`SHARD_POLICIES`): ``"sample"``
         (split the batch), ``"layer"`` (split conv filters / FC output
         neurons) or ``"pipeline"`` (stage the layers).
-    config / quantized / weight_format / activation_format:
+    config / weight_format / activation_format:
         Passed through to the :class:`SystolicBackend` datapath — every
         array runs the same datapath the single-array backend models.
     noc:
@@ -406,7 +405,6 @@ class ShardedBackend(ExecutionBackend):
         shards: int = 2,
         shard: str = "sample",
         config: ArrayConfig | None = None,
-        quantized: bool = True,
         weight_format: QFormat = Q2_13,
         activation_format: QFormat = Q8_8,
         noc: str = "flat",
@@ -435,7 +433,7 @@ class ShardedBackend(ExecutionBackend):
         # — the simulation quantises once per sync, not K times, and a
         # crash failover never changes the buffer layout.
         self.datapath = SystolicBackend(
-            network, config=config, quantized=quantized,
+            network, config=config,
             weight_format=weight_format, activation_format=activation_format,
         )
         self.config = self.datapath.config
@@ -460,13 +458,9 @@ class ShardedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Serving-buffer seam (fault injection / detection)
     # ------------------------------------------------------------------
-    # The numeric format attributes are the datapath's: the agent's
-    # Q-value guard reads ``quantized`` / ``activation_format`` to check
-    # for rail-pinned outputs on the quantised path.
-    @property
-    def quantized(self) -> bool:
-        return self.datapath.quantized
-
+    # The numeric formats are the datapath's: the fault layer draws
+    # flips over ``weight_format`` and the agent's Q-value guard checks
+    # for outputs pinned to ``activation_format``'s rails.
     @property
     def weight_format(self):
         return self.datapath.weight_format
@@ -481,9 +475,6 @@ class ShardedBackend(ExecutionBackend):
 
     def corrupt_weight_bit(self, name: str, index: int, bit: int) -> None:
         self.datapath.corrupt_weight_bit(name, index, bit)
-
-    def _refresh_weight_values(self) -> None:
-        self.datapath._refresh_weight_values()
 
     # ------------------------------------------------------------------
     # Fault handling (FAULTS seam active only)

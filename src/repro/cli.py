@@ -74,6 +74,7 @@ from repro.analysis import (
     format_mapping_table,
     format_table,
 )
+from repro.backend import BACKENDS
 from repro.core import paper_system_parameters
 from repro.env.fps import DMIN_TABLE, PAPER_SPEEDS, fps_requirement_table
 from repro.env.generators import ENVIRONMENTS, make_environment
@@ -473,8 +474,9 @@ def _print_fleet_projection(args, agent, scheduler, report, projection, np):
         )
     elif args.backend == "numpy":
         # Float rollouts carry no budget: cost the current observation
-        # batch post hoc on a float-numerics systolic backend.
-        q_cost = SystolicBackend(network, quantized=False).forward_batch(
+        # batch post hoc on the systolic backend (its cycles depend on
+        # the batch shape alone).
+        q_cost = SystolicBackend(network).forward_batch(
             scheduler.observations
         )[1]
         print(
@@ -841,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["L2", "L3", "L4", "E2E"])
     p_fleet.add_argument(
         "--backend", default="numpy",
-        choices=["numpy", "quantized", "systolic", "sharded"],
+        choices=sorted(BACKENDS),
         help="execution backend for action selection: float numpy "
              "(default), 16-bit fixed point, the quantized systolic "
              "datapath with per-step cycle budgets, or K sharded "

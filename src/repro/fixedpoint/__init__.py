@@ -4,7 +4,7 @@ The paper's accelerator computes in 16-bit fixed point (Fig. 4b,
 "Arithmetic precision: 16 bit fixed-point").  This package provides a
 small, NumPy-vectorised Q-format toolkit used by
 
-* :mod:`repro.nn` for optional quantised inference,
+* :mod:`repro.backend` for the quantised datapath's numerics,
 * :mod:`repro.memory` for sizing weights in bits, and
 * tests validating that quantisation error behaves as expected.
 """

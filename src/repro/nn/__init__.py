@@ -33,7 +33,6 @@ from repro.nn.alexnet import (
     build_network,
     parameter_table,
 )
-from repro.nn.quantize import QuantizedNetwork
 
 __all__ = [
     "he_normal",
@@ -59,5 +58,4 @@ __all__ = [
     "scaled_drone_net_spec",
     "build_network",
     "parameter_table",
-    "QuantizedNetwork",
 ]

@@ -262,18 +262,7 @@ class QLearningAgent:
         figure is the part of the inference ledger's cycles spent on
         recovery, not an extra charge on top of it.
         """
-        fmt = getattr(self.backend, "activation_format", None)
-        bad = not bool(np.all(np.isfinite(q_values)))
-        if (
-            not bad
-            and fmt is not None
-            and getattr(self.backend, "quantized", False)
-        ):
-            bad = bool(
-                np.any(q_values >= fmt.max_value)
-                or np.any(q_values <= fmt.min_value)
-            )
-        if not bad:
+        if not self._q_values_bad(q_values):
             return q_values, cost
         inj = FAULTS.injector
         suspects = inj.undetected(("sram.flip", "buffer.corrupt"))
@@ -292,16 +281,20 @@ class QLearningAgent:
             q_values, recompute = self.backend.forward_batch(states)
         inj.add_recovery_cycles(recompute.total_cycles)
         cost = cost + replace(recompute, states=0)
-        recovered = bool(np.all(np.isfinite(q_values)))
-        if recovered and fmt is not None and getattr(self.backend, "quantized", False):
-            recovered = not bool(
-                np.any(q_values >= fmt.max_value)
-                or np.any(q_values <= fmt.min_value)
-            )
-        if recovered:
+        if not self._q_values_bad(q_values):
             for rec in suspects:
                 inj.mark_recovered(rec, detail="forced flip + recompute")
         return q_values, cost
+
+    def _q_values_bad(self, q_values: np.ndarray) -> bool:
+        """Whether served Q values are non-finite or on the rails of
+        the backend's activation format (a fixed-point datapath)."""
+        if not np.all(np.isfinite(q_values)):
+            return True
+        fmt = self.backend.activation_format
+        return fmt is not None and bool(
+            np.any(q_values >= fmt.max_value) or np.any(q_values <= fmt.min_value)
+        )
 
     def pending_inference_cycles(self) -> int:
         """Cycles in the inference ledger since the last drain.

@@ -16,7 +16,9 @@ execution those counters stand for as code that *runs* it:
 * :func:`simulate_network_training_step` — a whole batch-N training
   step chained through either path;
 * :func:`oracle_forward` — a :class:`~repro.backend.SystolicBackend`
-  forward with every parametric layer run through the oracle.
+  forward with every parametric layer run through the oracle;
+* :func:`weight_swap_forward` — the 16-bit forward through the float
+  layers themselves, quantised weights swapped in layer by layer.
 
 ``fidelity="fast" | "pe"`` selects the datapath or the oracle in the
 helpers here, so one test body can run both and compare.  The datapath
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fixedpoint.qformat import Q2_13, Q8_8, QFormat
 from repro.nn.layers import Conv2D, Dense
 from repro.systolic.array import PAPER_ARRAY, ArrayConfig, PEConfig
 from repro.systolic.cycles import SimulationStats
@@ -341,12 +344,13 @@ def oracle_forward(backend, states: np.ndarray) -> tuple[np.ndarray, dict[str, i
 
     Runs each Conv2D / Dense of ``backend.network`` through
     :func:`conv2d_pe` / :func:`fc_pe` on the backend's served weight
-    values (``backend._value``), adds the bias and re-quantises with
-    the backend's own activation format after every layer.  The
-    datapath's raw-integer products are exact, so the Q values must
-    match it bitwise.  Returns ``(q_values, layer_cycles)``.
+    values (``backend.weight_buffers()``), adds the bias and
+    re-quantises with the backend's own activation format after every
+    layer.  The datapath's fixed-point products are exact, so the Q
+    values must match it bitwise.  Returns ``(q_values, layer_cycles)``.
     """
-    x = backend._requantize(np.asarray(states, dtype=_F64))
+    requantize = backend.activation_format.quantize
+    x = requantize(np.asarray(states, dtype=_F64))
     layer_cycles: dict[str, int] = {}
     for layer in backend.network.layers:
         if isinstance(layer, Conv2D):
@@ -363,8 +367,38 @@ def oracle_forward(backend, states: np.ndarray) -> tuple[np.ndarray, dict[str, i
             layer_cycles[layer.name] = result.total_cycles
         else:
             x = layer.forward(x, training=False)
-        x = backend._requantize(x)
+        x = requantize(x)
     return x, layer_cycles
+
+
+def weight_swap_forward(
+    network,
+    states: np.ndarray,
+    weight_format: QFormat = Q2_13,
+    activation_format: QFormat = Q8_8,
+) -> np.ndarray:
+    """The 16-bit forward through ``network``'s own float layers.
+
+    Each parametric layer runs :meth:`~repro.nn.layers.Layer.forward`
+    with its weights swapped for their ``weight_format`` quantisation
+    (and swapped back after), and the activations re-quantise into
+    ``activation_format`` after every layer — the fixed-point datapath
+    written with none of its kernels, for its Q values to be checked
+    against bitwise.
+    """
+    x = activation_format.quantize(np.asarray(states, dtype=_F64))
+    for layer in network.layers:
+        params = layer.parameters()
+        saved = [p.value for p in params]
+        for p in params:
+            p.value = weight_format.quantize(p.value)
+        try:
+            x = layer.forward(x, training=False)
+        finally:
+            for p, value in zip(params, saved):
+                p.value = value
+        x = activation_format.quantize(x)
+    return x
 
 
 # ----------------------------------------------------------------------

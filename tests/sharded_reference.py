@@ -94,7 +94,7 @@ def _layout(backend, plan):
     arrays = {
         k: SystolicBackend(
             Network(layers, name=f"shard{k}"),
-            config=datapath.config, quantized=datapath.quantized,
+            config=datapath.config,
             weight_format=datapath.weight_format,
             activation_format=datapath.activation_format,
         )
@@ -119,7 +119,7 @@ def reference_forward(backend, states: np.ndarray) -> tuple[np.ndarray, StepCost
         return backend._forward_degraded(x)
     plan = backend.plan(x.shape[0], x.shape[1:], tuple(alive))
     stage_of, pieces = _layout(backend, plan)
-    requantize = backend.datapath._requantize
+    requantize = backend.activation_format.quantize
     runs = []
     outputs = []
     for chunk in np.split(x, np.cumsum(plan.sizes)[:-1]):

@@ -4,11 +4,12 @@ The backend seam's contracts:
 
 * ``NumpyBackend`` is bitwise the float network (the agent's historical
   behaviour) with a zero cycle budget;
-* ``QuantizedBackend`` is bitwise ``QuantizedNetwork.predict_batch``;
-* ``SystolicBackend`` (quantized) is bitwise the quantized backend —
-  the integer GEMM datapath computes the exact same numbers — and a
-  forward through the loop-level PE oracle (``tests/pe_reference.py``)
-  matches it bitwise, cycle for cycle, over a shape grid;
+* ``QuantizedBackend`` is bitwise the weight-swap forward through the
+  float layers (``tests/pe_reference.weight_swap_forward``);
+* ``SystolicBackend`` is bitwise the quantized backend — one datapath,
+  with cycles — and a forward through the loop-level PE oracle
+  (``tests/pe_reference.py``) matches it bitwise, cycle for cycle,
+  over a shape grid;
 * cycle budgets come from the closed-form systolic accounting and
   thread through the agent's ledger into fleet round reports;
 * after an online training update, ``sync()`` write-back keeps the
@@ -29,13 +30,13 @@ from repro.backend import (
 )
 from repro.fixedpoint import Q8_8
 from repro.fleet import FleetScheduler, VecNavigationEnv
-from repro.nn import QuantizedNetwork, build_network, scaled_drone_net_spec
+from repro.nn import build_network, scaled_drone_net_spec
 from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
 from repro.nn.network import Network
 from repro.rl import EpsilonSchedule, QLearningAgent, config_by_name
 from repro.systolic import conv_rowstationary_stats, fc_tile_stats
 
-from pe_reference import oracle_forward
+from pe_reference import oracle_forward, weight_swap_forward
 
 SIDE = 16
 
@@ -190,13 +191,12 @@ class TestQuantizedBackend:
     def test_bitwise_matches_quantized_network(self, rng):
         net = make_net()
         backend = QuantizedBackend(net)
-        reference = QuantizedNetwork(net)
         states = rng.uniform(0, 1, size=(6, 1, SIDE, SIDE))
         q_values, cost = backend.forward_batch(states)
-        assert np.array_equal(q_values, reference.predict_batch(states))
-        # The scalar weight-swap path is the cross-validation oracle.
-        assert np.array_equal(q_values, reference.predict(states))
-        assert cost.total_cycles == 0
+        # The per-layer weight-swap path is the cross-validation oracle.
+        assert np.array_equal(q_values, weight_swap_forward(net, states))
+        assert cost.total_cycles == 0 and cost.states == 6
+        assert backend.train_cost(8, (1, SIDE, SIDE)).total_cycles == 0
 
     def test_agreement_on_seeded_rollout_states(self, rollout_states):
         network, states = rollout_states
@@ -206,18 +206,16 @@ class TestQuantizedBackend:
 class TestSystolicBackend:
     def test_quantized_numerics_bitwise_match_quantized_backend(self, rng):
         net = make_net()
-        states = rng.uniform(0, 1, size=(4, 1, SIDE, SIDE))
-        sys_q, sys_cost = SystolicBackend(net).forward_batch(states)
-        quant_q, _ = QuantizedBackend(net).forward_batch(states)
-        assert np.array_equal(sys_q, quant_q)
-        assert sys_cost.total_cycles > 0
-
-    def test_float_mode_matches_network_predict(self, rng):
-        net = make_net()
-        states = rng.uniform(0, 1, size=(4, 1, SIDE, SIDE))
-        q_values, cost = SystolicBackend(net, quantized=False).forward_batch(states)
-        assert np.allclose(q_values, net.predict(states), rtol=1e-12, atol=1e-12)
-        assert cost.total_cycles > 0
+        systolic, quantized = SystolicBackend(net), QuantizedBackend(net)
+        for batch in (1, 4, 16, 64):
+            states = rng.uniform(0, 1, size=(batch, 1, SIDE, SIDE))
+            sys_q, sys_cost = systolic.forward_batch(states)
+            quant_q, _ = quantized.forward_batch(states)
+            assert np.array_equal(sys_q, quant_q)
+            # The GEMMs on fixed-point values are exact: bitwise the
+            # float layers' own forward on the quantised weights.
+            assert np.array_equal(sys_q, weight_swap_forward(net, states))
+            assert sys_cost.total_cycles > 0
 
     def test_agreement_on_seeded_rollout_states(self, rollout_states):
         network, states = rollout_states

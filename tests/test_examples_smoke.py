@@ -46,12 +46,22 @@ class TestFastExamples:
         assert "NO" in out      # E2E fails
         assert "yes" in out     # TL topologies pass
 
+    def test_quantization_study(self, capsys):
+        out = run_example("quantization_study.py", capsys)
+        rows = [line.split("|") for line in out.splitlines() if line.count("|") == 4]
+        rows = rows[1:]  # drop the header row
+        assert len(rows) == 4
+        bits = [int(row[1]) for row in rows]
+        agreement = [float(row[4]) for row in rows]
+        assert bits == sorted(bits)
+        assert agreement == sorted(agreement)
+        assert bits[-1] == 16 and agreement[-1] >= 99.0
+
     @pytest.mark.parametrize(
         "name",
         [
             "indoor_navigation.py",
             "outdoor_navigation.py",
-            "quantization_study.py",
             "robustness_study.py",
         ],
     )

@@ -14,7 +14,12 @@ is pinned both here (zero-rate plan) and in
 import numpy as np
 import pytest
 
-from repro.backend import NumpyBackend, ShardedBackend, SystolicBackend
+from repro.backend import (
+    NumpyBackend,
+    QuantizedBackend,
+    ShardedBackend,
+    SystolicBackend,
+)
 from repro.cli import main
 from repro.faults import (
     DEFAULT_CHAOS_RATES,
@@ -489,9 +494,10 @@ class TestShardFaults:
         assert degraded.critical_path_cycles >= alive_cost.critical_path_cycles
 
 
-def _assert_poisoned_weights_recovered(backend, served) -> None:
+def _assert_poisoned_weights_recovered(backend) -> None:
     """Rail the served weights; the agent's guard must flip and recompute."""
     agent = make_agent(backend)
+    served = backend.weight_buffers()
     states = np.random.default_rng(0).uniform(0, 1, size=(4, 1, SIDE, SIDE))
     with chaos(FaultPlan(seed=0, sram_flip_rate=1e-9)) as inj:
         # Poison the *served* value snapshots only; the float staging
@@ -520,15 +526,20 @@ def _assert_poisoned_weights_recovered(backend, served) -> None:
 
 class TestQValueGuard:
     def test_poisoned_weights_detected_and_recovered(self):
-        backend = SystolicBackend(make_net())
-        _assert_poisoned_weights_recovered(backend, backend._value)
+        _assert_poisoned_weights_recovered(SystolicBackend(make_net()))
+
+    def test_poisoned_quantized_weights_detected_and_recovered(self):
+        # The cycle-free view of the datapath serves the same buffer and
+        # formats, so its railed Q values are caught and repaired too.
+        _assert_poisoned_weights_recovered(QuantizedBackend(make_net()))
 
     @pytest.mark.parametrize("shard", ["sample", "layer", "pipeline"])
     def test_poisoned_sharded_weights_detected_and_recovered(self, shard):
         # Every policy serves from its one datapath's buffer, and the
         # guard reads the quantised format through the sharded backend.
-        backend = ShardedBackend(make_net(), shards=2, shard=shard)
-        _assert_poisoned_weights_recovered(backend, backend.datapath._value)
+        _assert_poisoned_weights_recovered(
+            ShardedBackend(make_net(), shards=2, shard=shard)
+        )
 
     def test_guard_blames_undetected_flip_first(self):
         net = make_net()
@@ -539,8 +550,8 @@ class TestQValueGuard:
         )
         with chaos(FaultPlan(seed=0, sram_flip_rate=1e-9)) as inj:
             flip = inj.record("sram.flip", target="W1")
-            for name in backend._value:
-                backend._value[name][:] = 1e9
+            for buffer in backend.weight_buffers().values():
+                buffer[:] = 1e9
             agent.act_batch(states, greedy=True)
         # The guard attributes the anomaly to the known injected flip
         # rather than opening a fresh anomaly record.
